@@ -9,4 +9,4 @@ from .linalg import RingMatrix, quasidet
 from .plucker import Vec2, qp_left, qp_right
 from .crossratio import cross_ratio, cross_ratio_bar, nc_angle, triple_ratio, dv, PolarizationQuad
 from .jets import Jet
-from .schwarzian import nc_schwarzian, ncsch
+from .schwarzian import nc_schwarzian

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .crossratio import PolarizationQuad, cross_ratio, dv
-from .errors import NCError
+from .errors import DimensionMismatch, NCError
 from .geometry import Point2, collinear
 from .jets import Jet
 from .linalg import RingMatrix, quasidet
@@ -30,11 +31,12 @@ from .suites import SuiteConfig, list_suites, run_suite
 # JSON output with a fixed number format (17 significant digits)
 
 
-def _dump(obj, indent=0) -> str:
-    pad = " " * indent
+def _dump(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj} has no JSON encoding")
         return format(obj, ".17g")
     if isinstance(obj, int):
         return str(obj)
@@ -43,16 +45,10 @@ def _dump(obj, indent=0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ", ".join(_dump(v, indent) for v in obj)
-        return f"[{inner}]"
+        return "[" + ", ".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ", ".join(f"{json.dumps(str(k))}: {_dump(v, indent)}"
-                          for k, v in obj.items())
-        return "{" + items + "}"
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_dump(v)}"
+                               for k, v in obj.items()) + "}"
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
@@ -108,16 +104,27 @@ def _op_quasidet(data):
                                    int(data["p"]), int(data["q"])))
 
 
+def _qp(data, fn, family, n):
+    idx = [int(data[key]) for key in "ijk"]
+    if not all(0 <= v < n for v in idx):
+        raise IndexError(f"indices {idx} out of range for {n} vectors")
+    return scalar_to_json(fn(family, *idx))
+
+
 def _op_qp_left(data):
-    return scalar_to_json(qp_left(_matrix(data["matrix"]),
-                                  int(data["i"]), int(data["j"]),
-                                  int(data["k"])))
+    m = _matrix(data["matrix"])
+    if m.rows != 2:
+        raise DimensionMismatch(f"qp_left needs a 2 x n matrix, not "
+                                f"{m.rows} x {m.cols}")
+    return _qp(data, qp_left, [m.column(j) for j in range(m.cols)], m.cols)
 
 
 def _op_qp_right(data):
-    return scalar_to_json(qp_right(_matrix(data["matrix"]),
-                                   int(data["i"]), int(data["j"]),
-                                   int(data["k"])))
+    m = _matrix(data["matrix"])
+    if m.cols != 2:
+        raise DimensionMismatch(f"qp_right needs an n x 2 matrix, not "
+                                f"{m.rows} x {m.cols}")
+    return _qp(data, qp_right, m.entries, m.rows)
 
 
 def _op_dv(data):
@@ -198,8 +205,9 @@ def _cmd_verify(args) -> int:
         if report.notes:
             lines.append(f"notes         {report.notes}")
         for f in report.failures[:20]:
-            lines.append(f"  trial {f.counter}: residual "
-                         f"{format(f.residual, '.17g')}")
+            lines.append(f"  trial {f.counter}: " + (
+                "skipped" if f.residual is None
+                else f"residual {format(f.residual, '.17g')}"))
         text = "\n".join(lines) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
@@ -226,11 +234,11 @@ def _cmd_compute(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        result = op(data)
-    except (NCError, ValueError, KeyError, TypeError) as e:
+        _emit(op(data))
+    except (NCError, ValueError, KeyError, TypeError, IndexError,
+            ArithmeticError) as e:
         _emit({"error": type(e).__name__, "message": str(e)})
         return 1
-    _emit(result)
     return 0
 
 
@@ -257,7 +265,9 @@ def main(argv=None) -> int:
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--tol", type=float, default=1e-9)
     pv.add_argument("--skip-policy", default="count", choices=("count", "fail"))
-    pv.add_argument("--workers", type=int, default=1)
+    pv.add_argument("--workers", type=int, default=1,
+                    help="accepted for compatibility; has no effect, "
+                         "trials run serially")
     pv.add_argument("--format", default="json", choices=("json", "text"))
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify)

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotInvertible, PairMismatch, SymmetryViolation, UndefinedExpression
+from .errors import NotInvertible, PairMismatch, SymmetryViolation, agree
 from .plucker import Vec2, qp_left
 from .scalars import DEFAULT_ATOL, Scalar
-
-_BREAKDOWN_FACTOR = 100.0
 
 
 def cross_ratio(x: Vec2, y: Vec2, z: Vec2, t: Vec2, tol: float = DEFAULT_ATOL) -> Scalar:
@@ -61,9 +59,9 @@ def nc_angle(ai: Vec2, aj: Vec2, ak: Vec2, tol: float = DEFAULT_ATOL) -> Scalar:
 
     t1 = one(aj, ak)
     t2 = one(ak, aj)
-    d = (t1 + t2).norm()
-    if d > _BREAKDOWN_FACTOR * tol * (1.0 + t1.norm()):
-        raise SymmetryViolation(f"angle orders fail antisymmetry by {d:.3g}")
+    if not agree(t1, -t2, tol):
+        raise SymmetryViolation(
+            f"angle orders fail antisymmetry by {(t1 + t2).norm():.3g}")
     return t1
 
 
@@ -107,7 +105,7 @@ def triple_ratio(x: Scalar, y: Scalar, a1: Scalar, b: Scalar, c: Scalar,
         * (x - a1) * a1.inv()
     )
     residual = (value - paired).norm()
-    if residual > _BREAKDOWN_FACTOR * tol * (1.0 + paired.norm()):
+    if not agree(value, paired, tol):
         raise PairMismatch(f"triple ratio routes differ by {residual:.3g}")
     naive_residual = (naive - paired).norm()
     return TripleRatio(value, paired, residual, naive, naive_residual)
@@ -135,8 +133,3 @@ def dv(quad: PolarizationQuad) -> Scalar:
     except NotInvertible as e:
         raise NotInvertible(f"transversality failure: {e}") from e
 
-
-def dv_graph_vectors(quad: PolarizationQuad):
-    """Homogeneous representatives (1, P_i), (1, Q_i) of the four graphs."""
-    one = quad.P1.ring.one
-    return tuple(Vec2(one, op) for op in quad)

@@ -40,8 +40,44 @@ class ResampleLimitExceeded(NCError):
     pass
 
 
+class DrawBudgetExceeded(NCError):
+    """A trial drew more scalars than its share of the seed's stream."""
+
+
 class NumericalBreakdown(NCError):
     """Two evaluation routes of equal expressions disagree badly."""
+
+
+#: two algebraically equal routes may drift apart by conditioning; beyond
+#: this multiple of the tolerance we call it a breakdown, not a value.
+BREAKDOWN_FACTOR = 100.0
+
+
+def agree(a, b, tol: float) -> bool:
+    """|a - b| <= BREAKDOWN_FACTOR tol (1 + max(|a|, |b|)); symmetric."""
+    return ((a - b).norm()
+            <= BREAKDOWN_FACTOR * tol * (1.0 + max(a.norm(), b.norm())))
+
+
+def agreed(routes, tol: float, mismatch: type, what: str):
+    """The value of the routes (zero-argument callables) that are defined.
+
+    A route raising UndefinedExpression is dropped; with none left the
+    expression is undefined.  The others must agree with the first, whose
+    value is returned, or ``mismatch`` (a NumericalBreakdown) is raised."""
+    vals, errs = [], []
+    for route in routes:
+        try:
+            vals.append(route())
+        except UndefinedExpression as e:
+            errs.append(str(e))
+    if not vals:
+        raise UndefinedExpression(f"{what}: no route defined ({'; '.join(errs)})")
+    first = vals[0]
+    for v in vals[1:]:
+        if not agree(first, v, tol):
+            raise mismatch(f"{what}: routes differ by {(first - v).norm():.3g}")
+    return first
 
 
 class RowFormMismatch(NumericalBreakdown):

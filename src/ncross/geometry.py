@@ -10,12 +10,10 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import (DegeneratePair, CollinearFrame, PairMismatch,
-                     UndefinedExpression)
+                     UndefinedExpression, agreed)
 from .linalg import RingMatrix, quasidet, solve_left
 from .plucker import Vec2, qp_left
 from .scalars import DEFAULT_ATOL, Scalar
-
-_AGREE_FACTOR = 100.0
 
 
 class Point2(NamedTuple):
@@ -31,11 +29,6 @@ class Point2(NamedTuple):
 
     def scale(self, t: Scalar) -> "Point2":
         return Point2(self.x1 * t, self.x2 * t)
-
-    def lift(self) -> Vec2:
-        """Homogeneous representative (x1, x2, 1) truncated to the pair
-        used by quasi-Pluecker machinery: per-coordinate (value, 1)."""
-        return Vec2(self.x1, self.x2)
 
 
 def as_point(p) -> Point2:
@@ -95,20 +88,9 @@ def collinear(x, y, z, tol: float = DEFAULT_ATOL) -> bool:
 def _division_ratio(u, w, v, tol: float) -> Scalar:
     """(u - w)^-1 (v - w) on whichever coordinate admits it; when both do
     they must agree (true exactly when w lies on line uv)."""
-    vals = []
-    for c in range(2):
-        try:
-            vals.append((u[c] - w[c]).inv() * (v[c] - w[c]))
-        except UndefinedExpression:
-            pass
-    if not vals:
-        raise UndefinedExpression("division ratio undefined on both coordinates")
-    if len(vals) == 2:
-        d = (vals[0] - vals[1]).norm()
-        if d > _AGREE_FACTOR * tol * (1.0 + vals[0].norm()):
-            raise PairMismatch(
-                f"coordinate ratios disagree by {d:.3g}; the point is off its line")
-    return vals[0]
+    return agreed([lambda c=c: (u[c] - w[c]).inv() * (v[c] - w[c])
+                   for c in range(2)],
+                  tol, PairMismatch, "coordinate division ratios")
 
 
 def _coord_word(pairs, tol: float) -> Scalar:
@@ -134,24 +116,8 @@ def ceva_commutative(a, b, c, d, e, f, tol: float = DEFAULT_ATOL) -> Scalar:
     concurrent."""
     pts = [as_point(p) for p in (a, b, c, d, e, f)]
     a, b, c, d, e, f = pts
-
-    def factor(u, w, v):
-        # (w - u)^-1 (w - v) per coordinate with agreement
-        vals = []
-        for coord in range(2):
-            try:
-                vals.append((w[coord] - u[coord]).inv() * (w[coord] - v[coord]))
-            except UndefinedExpression:
-                pass
-        if not vals:
-            raise UndefinedExpression("cevian factor undefined on both coordinates")
-        if len(vals) == 2:
-            dd = (vals[0] - vals[1]).norm()
-            if dd > _AGREE_FACTOR * tol * (1.0 + vals[0].norm()):
-                raise PairMismatch(f"coordinate ratios disagree by {dd:.3g}")
-        return vals[0]
-
-    return factor(a, e, c) * factor(b, f, a) * factor(c, d, b)
+    # (e-a)^-1(e-c) = (a-e)^-1(c-e), and likewise for the other factors
+    return _coord_word(((a, e, c), (b, f, a), (c, d, b)), tol)
 
 
 class Barycentric(NamedTuple):
@@ -225,20 +191,10 @@ def _qp_affine(u: Point2, v: Point2, w: Point2, tol: float) -> Scalar:
     """Left quasi-Pluecker q^w_uv of the per-coordinate lifts (value, 1);
     the two coordinates must agree when w is on line uv."""
     one = u.ring.one
-    vals = []
-    for c in range(2):
-        try:
-            cols = (Vec2(u[c], one), Vec2(v[c], one), Vec2(w[c], one))
-            vals.append(qp_left(cols, 0, 1, 2, tol))
-        except UndefinedExpression:
-            pass
-    if not vals:
-        raise UndefinedExpression("quasi-Pluecker ratio undefined on both axes")
-    if len(vals) == 2:
-        d = (vals[0] - vals[1]).norm()
-        if d > _AGREE_FACTOR * tol * (1.0 + vals[0].norm()):
-            raise PairMismatch(f"axis ratios disagree by {d:.3g}")
-    return vals[0]
+    return agreed([lambda c=c: qp_left((Vec2(u[c], one), Vec2(v[c], one),
+                                        Vec2(w[c], one)), 0, 1, 2, tol)
+                   for c in range(2)],
+                  tol, PairMismatch, "quasi-Pluecker axis ratios")
 
 
 def menelaus_nc(a, b, c, t: Scalar, u: Scalar, v: Scalar,

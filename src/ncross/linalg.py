@@ -33,20 +33,12 @@ class RingMatrix:
             [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def from_columns(cls, columns) -> "RingMatrix":
-        n = len(columns[0])
-        return cls([[col[r] for col in columns] for r in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
     def column(self, j):
         return [self.entries[i][j] for i in range(self.rows)]
-
-    def row(self, i):
-        return list(self.entries[i])
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.cols != other.rows:

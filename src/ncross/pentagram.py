@@ -63,7 +63,6 @@ class PentagramRelations(NamedTuple):
     x: tuple                       # x1..x7 with the double-swap continuation
     residuals: tuple               # five relation residuals
     printed_bar_residuals: tuple   # same relations with the single-swap bar
-    alt_fourth_residual: float     # fourth relation with its two x-factors swapped
 
 
 def pentagram_relations_check(p: Pentad, tol: float = DEFAULT_ATOL) -> PentagramRelations:
@@ -104,8 +103,7 @@ def pentagram_relations_check(p: Pentad, tol: float = DEFAULT_ATOL) -> Pentagram
 
     main = rels(x6, x7)
     printed = rels(x6s, x7s)
-    alt4 = (x[3] * q(3, 4, 2) * x6 * q(3, 2, 4) - (one + x[4])).norm()
-    return PentagramRelations(tuple(x) + (x6, x7), main, printed, alt4)
+    return PentagramRelations(tuple(x) + (x6, x7), main, printed)
 
 
 class MultiplicativeRelations(NamedTuple):

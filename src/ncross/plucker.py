@@ -11,12 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import RowFormMismatch, UndefinedExpression
+from .errors import RowFormMismatch, agreed
 from .scalars import DEFAULT_ATOL, Scalar
-
-#: two algebraically equal forms may drift apart by conditioning; beyond
-#: this multiple of the tolerance we call it a breakdown, not a value.
-MISMATCH_FACTOR = 100.0
 
 
 class Vec2:
@@ -50,16 +46,6 @@ def _col(columns, j):
     return c[0], c[1]
 
 
-def _combine_forms(f1, f2, err1, err2, tol, what):
-    if f1 is None and f2 is None:
-        raise UndefinedExpression(f"{what}: both forms undefined ({err1}; {err2})")
-    if f1 is not None and f2 is not None:
-        d = (f1 - f2).norm()
-        if d > MISMATCH_FACTOR * tol * (1.0 + max(f1.norm(), f2.norm())):
-            raise RowFormMismatch(f"{what}: forms differ by {d:.3g}")
-    return f1 if f1 is not None else f2
-
-
 def qp_left(columns: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL) -> Scalar:
     """Left quasi-Plucker coordinate q^k_ij of a 2 x n column family.
 
@@ -78,17 +64,9 @@ def qp_left(columns: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL
         right = top_j - top_k * (binv * bot_j)
         return left.inv() * right
 
-    f1 = f2 = None
-    e1 = e2 = None
-    try:
-        f1 = form(a1i, a2i, a1j, a2j, a1k, a2k)
-    except UndefinedExpression as e:
-        e1 = e
-    try:
-        f2 = form(a2i, a1i, a2j, a1j, a2k, a1k)
-    except UndefinedExpression as e:
-        e2 = e
-    return _combine_forms(f1, f2, e1, e2, tol, f"qp_left k={k},i={i},j={j}")
+    return agreed((lambda: form(a1i, a2i, a1j, a2j, a1k, a2k),
+                   lambda: form(a2i, a1i, a2j, a1j, a2k, a1k)),
+                  tol, RowFormMismatch, f"qp_left k={k},i={i},j={j}")
 
 
 def qp_right(rows: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL) -> Scalar:
@@ -110,17 +88,8 @@ def qp_right(rows: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL) 
         right = bj[c] - bj[d] * pivot
         return left * right.inv()
 
-    f1 = f2 = None
-    e1 = e2 = None
-    try:
-        f1 = form(0, 1)
-    except UndefinedExpression as e:
-        e1 = e
-    try:
-        f2 = form(1, 0)
-    except UndefinedExpression as e:
-        e2 = e
-    return _combine_forms(f1, f2, e1, e2, tol, f"qp_right k={k},i={i},j={j}")
+    return agreed((lambda: form(0, 1), lambda: form(1, 0)),
+                  tol, RowFormMismatch, f"qp_right k={k},i={i},j={j}")
 
 
 def plucker_minor(columns, i: int, k: int) -> Scalar:

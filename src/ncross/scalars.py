@@ -429,7 +429,7 @@ def ring_by_name(name: str, dim: int | None = None) -> Ring:
     if name == "rational":
         return RATIONAL
     if name == "matrix":
-        return matrix_ring(dim or 3)
+        return matrix_ring(3 if dim is None else dim)
     raise ValueError(f"unknown ring {name!r}")
 
 
@@ -493,17 +493,24 @@ def _entry_from_json(v):
 
 
 def scalar_from_json(obj) -> Scalar:
+    """Decode one scalar; NaN and infinite entries are rejected."""
     kind = obj["ring"]
-    if kind == "quaternion":
-        return Quaternion(*obj["coeffs"])
-    if kind == "complex":
-        return ComplexScalar(complex(obj["re"], obj.get("im", 0.0)))
     if kind == "rational":
         return RationalScalar(int(obj["num"]), int(obj.get("den", 1)))
-    if kind == "matrix":
+    if kind == "quaternion":
+        s = Quaternion(*obj["coeffs"])
+        parts = (s.w, s.x, s.y, s.z)
+    elif kind == "complex":
+        s = ComplexScalar(complex(obj["re"], obj.get("im", 0.0)))
+        parts = s.v
+    elif kind == "matrix":
         ents = [[_entry_from_json(v) for v in row] for row in obj["entries"]]
-        m = MatScalar(ents)
-        if m.dim != obj.get("dim", m.dim):
+        s = MatScalar(ents)
+        if s.dim != obj.get("dim", s.dim):
             raise DimensionMismatch("matrix dim field disagrees with entries")
-        return m
-    raise ValueError(f"unknown ring tag {kind!r}")
+        parts = s.a
+    else:
+        raise ValueError(f"unknown ring tag {kind!r}")
+    if not np.isfinite(parts).all():
+        raise ValueError(f"non-finite entry in a {kind} scalar")
+    return s

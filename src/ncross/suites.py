@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import crossratio, geometry, pentagram, schwarzian
-from .errors import (NumericalBreakdown, UndefinedExpression, UnknownSuite,
+from .errors import (DrawBudgetExceeded, NumericalBreakdown,
+                     UndefinedExpression, UnknownSuite,
                      UnsupportedRingForSuite)
 from .jets import Jet
 from .linalg import RingMatrix, solve_left
@@ -26,8 +26,9 @@ from .scalars import (Ring, Seed, Scalar, conjugate_by, ring_by_name,
 
 SKIP_CEILING = 0.05
 
-#: stride separating the draw counters of consecutive trials; trials may
-#: not draw more scalars than this (they draw a few dozen)
+#: stride separating the draw counters of consecutive trials; a trial may
+#: not draw more scalars than this (they draw a few dozen), or it would
+#: reuse the next trial's stream
 _STRIDE = 100003
 
 
@@ -42,6 +43,9 @@ class Draw:
         self.log: list = []
 
     def scalar(self) -> Scalar:
+        if self.k >= _STRIDE:
+            raise DrawBudgetExceeded(
+                f"trial {self.trial} drew more than {_STRIDE} scalars")
         s = self.ring.sample(Seed(self.seed, self.trial * _STRIDE + self.k))
         self.k += 1
         self.log.append(s)
@@ -70,7 +74,7 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN
             raise ValueError("tol must be positive")
         if self.skip_policy not in ("count", "fail"):
             raise ValueError("skip_policy must be 'count' or 'fail'")
@@ -78,7 +82,7 @@ class SuiteConfig:
 
 class Failure(NamedTuple):
     counter: int
-    residual: float
+    residual: float | None  # None for a trial skipped under skip_policy "fail"
     inputs: list
 
 
@@ -556,17 +560,19 @@ def list_suites():
 
 
 def _run_trial(spec: SuiteSpec, ring: Ring, cfg: SuiteConfig, idx: int):
+    """(residual, logged inputs); the residual is None for a skipped trial."""
     d = Draw(ring, cfg.seed, idx)
     try:
         residual = spec.trial(d, cfg.tol)
-    except UndefinedExpression:
-        return ("skip", idx, None, [scalar_to_json(s) for s in d.log])
-    except NumericalBreakdown:
-        return ("skip", idx, None, [scalar_to_json(s) for s in d.log])
-    return ("done", idx, residual, [scalar_to_json(s) for s in d.log])
+    except (UndefinedExpression, NumericalBreakdown):
+        residual = None
+    return residual, [scalar_to_json(s) for s in d.log]
 
 
 def run_suite(cfg: SuiteConfig, workers: int = 1) -> Report:
+    """Run the configured suite.  ``workers`` is accepted for compatibility
+    and has no effect: trials are pure Python and run serially (a thread
+    pool gained nothing behind the interpreter lock)."""
     if cfg.suite not in SUITES:
         raise UnknownSuite(cfg.suite)
     spec = SUITES[cfg.suite]
@@ -575,23 +581,15 @@ def run_suite(cfg: SuiteConfig, workers: int = 1) -> Report:
             f"suite {cfg.suite} supports rings {spec.rings}, not {cfg.ring!r}")
     ring = ring_by_name(cfg.ring, cfg.dim)
     start = time.perf_counter()
-    idxs = range(cfg.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            outcomes = list(ex.map(
-                lambda i: _run_trial(spec, ring, cfg, i), idxs))
-    else:
-        outcomes = [_run_trial(spec, ring, cfg, i) for i in idxs]
-    outcomes.sort(key=lambda o: o[1])
-
     skipped = 0
     max_res = 0.0
     failures = []
-    for kind, idx, residual, inputs in outcomes:
-        if kind == "skip":
+    for idx in range(cfg.trials):
+        residual, inputs = _run_trial(spec, ring, cfg, idx)
+        if residual is None:
             skipped += 1
             if cfg.skip_policy == "fail":
-                failures.append(Failure(idx, float("nan"), inputs))
+                failures.append(Failure(idx, None, inputs))
             continue
         max_res = max(max_res, residual)
         if residual > cfg.tol:

@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from ncross.cli import main
+from ncross.cli import OPS, _dump, main
+from ncross.crossratio import PolarizationQuad, cross_ratio, dv
+from ncross.geometry import Point2, collinear
+from ncross.jets import Jet
+from ncross.linalg import RingMatrix, quasidet
+from ncross.pentagram import (Pentad, classical_pentagram, leapfrog_compatible,
+                              pentagram_relations_check)
+from ncross.plucker import Vec2, qp_left, qp_right
+from ncross.scalars import COMPLEX, QUATERNION, Seed, sample, scalar_to_json
+from ncross.schwarzian import nc_schwarzian
 
 
 def rat(n, d=1):
@@ -132,6 +141,14 @@ def test_verify_fail_exit_1(capsys):
     assert doc["failures"] or doc["notes"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1.0"])
+def test_verify_bad_tol_exit_2(capsys, tol):
+    code = main(["verify", "--suite", "dv-cocycle", "--trials", "5",
+                 "--tol", tol])
+    assert code == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_exit_1(capsys):
     assert main(["verify", "--suite", "no-such-suite", "--trials", "5"]) == 1
     assert "UnknownSuite" in capsys.readouterr().err
@@ -168,3 +185,168 @@ def test_verify_parallel_matches_serial(capsys, tmp_path):
         doc.pop("wall_time")
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+# ---------------------------------------------------------------------------
+# every compute op against the library call it wraps
+
+
+def qs(n, seed=5):
+    return [sample(QUATERNION, Seed(seed, k)) for k in range(n)]
+
+
+def pair(a, b):
+    return {"x1": scalar_to_json(a), "x2": scalar_to_json(b)}
+
+
+def grid(rows):
+    return {"entries": [[scalar_to_json(v) for v in row] for row in rows]}
+
+
+def _case_cross_ratio():
+    s = qs(8)
+    return ({"vectors": [pair(s[2 * k], s[2 * k + 1]) for k in range(4)]},
+            scalar_to_json(cross_ratio(*(Vec2(s[2 * k], s[2 * k + 1])
+                                         for k in range(4)))))
+
+
+def _case_quasidet():
+    rows = [qs(9)[3 * r:3 * r + 3] for r in range(3)]
+    return ({"matrix": grid(rows), "p": 1, "q": 2},
+            scalar_to_json(quasidet(RingMatrix(rows), 1, 2)))
+
+
+def _case_qp_left():
+    s = qs(8)
+    rows = [s[:4], s[4:]]
+    cols = [Vec2(rows[0][j], rows[1][j]) for j in range(4)]
+    return ({"matrix": grid(rows), "i": 3, "j": 0, "k": 1},
+            scalar_to_json(qp_left(cols, 3, 0, 1)))
+
+
+def _case_qp_right():
+    s = qs(8)
+    rows = [s[2 * r:2 * r + 2] for r in range(4)]
+    return ({"matrix": grid(rows), "i": 0, "j": 2, "k": 3},
+            scalar_to_json(qp_right(rows, 0, 2, 3)))
+
+
+def _case_dv():
+    s = qs(4)
+    return (dict(zip(("P1", "P2", "Q1", "Q2"), map(scalar_to_json, s))),
+            scalar_to_json(dv(PolarizationQuad(*s))))
+
+
+def _case_collinear():
+    s = qs(6)
+    pts = [Point2(s[2 * k], s[2 * k + 1]) for k in range(3)]
+    return ({"points": [pair(p.x1, p.x2) for p in pts]},
+            {"collinear": collinear(*pts)})
+
+
+def _case_nc_schwarzian():
+    s = qs(5)
+    return ({"coeffs": [scalar_to_json(v) for v in s]},
+            scalar_to_json(nc_schwarzian(Jet(s, QUATERNION))))
+
+
+def _case_pentagram_classical():
+    s = [sample(COMPLEX, Seed(5, k)) for k in range(5)]
+    y, res = classical_pentagram(s)
+    return ({"points": [scalar_to_json(v) for v in s]},
+            {"y": [scalar_to_json(v) for v in y], "residuals": list(res)})
+
+
+def _case_pentagram_nc():
+    s = qs(10)
+    vecs = [Vec2(s[2 * k], s[2 * k + 1]) for k in range(5)]
+    rep = pentagram_relations_check(Pentad(*vecs))
+    return ({"vectors": [pair(v.x1, v.x2) for v in vecs]},
+            {"x": [scalar_to_json(v) for v in rep.x],
+             "residuals": list(rep.residuals)})
+
+
+def _case_leapfrog():
+    s = qs(5)
+    return ({"points": [scalar_to_json(v) for v in s]},
+            {"compatible": leapfrog_compatible(*s)})
+
+
+OP_CASES = {
+    "cross_ratio": _case_cross_ratio,
+    "quasidet": _case_quasidet,
+    "qp_left": _case_qp_left,
+    "qp_right": _case_qp_right,
+    "dv": _case_dv,
+    "collinear": _case_collinear,
+    "nc_schwarzian": _case_nc_schwarzian,
+    "pentagram_classical": _case_pentagram_classical,
+    "pentagram_nc": _case_pentagram_nc,
+    "leapfrog": _case_leapfrog,
+}
+
+
+def test_op_cases_cover_every_op():
+    assert set(OP_CASES) == set(OPS)
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_compute_matches_library(capsys, tmp_path, op):
+    payload, expected = OP_CASES[op]()
+    code, out = compute(capsys, tmp_path, op, payload)
+    assert code == 0, out
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("op, shape", [("qp_left", (3, 4)), ("qp_left", (4, 2)),
+                                       ("qp_right", (2, 4)), ("qp_right", (4, 3))])
+def test_qp_wrong_shape_exit_1(capsys, tmp_path, op, shape):
+    s = qs(shape[0] * shape[1])
+    rows = [s[r * shape[1]:(r + 1) * shape[1]] for r in range(shape[0])]
+    code, out = compute(capsys, tmp_path, op,
+                        {"matrix": grid(rows), "i": 0, "j": 1, "k": 2})
+    assert code == 1
+    assert json.loads(out)["error"] == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("op, payload", [
+    ("qp_left", {"matrix": grid([qs(3), qs(3, 6)]), "i": 0, "j": 1, "k": 3}),
+    ("qp_right", {"matrix": grid([qs(2), qs(2, 6), qs(2, 7)]),
+                  "i": -1, "j": 0, "k": 1}),
+    ("quasidet", {"matrix": grid([qs(2), qs(2, 6)]), "p": 5, "q": 0}),
+])
+def test_index_out_of_range_exit_1(capsys, tmp_path, op, payload):
+    code, out = compute(capsys, tmp_path, op, payload)
+    assert code == 1
+    assert json.loads(out)["error"] == "IndexError"
+
+
+@pytest.mark.parametrize("bad", [
+    {"ring": "quaternion", "coeffs": [float("nan"), 0.0, 0.0, 1.0]},
+    {"ring": "complex", "re": 1.0, "im": float("inf")},
+    {"ring": "matrix", "entries": [[1.0, 0.0], [0.0, float("nan")]]},
+    {"ring": "rational", "num": 1, "den": 0},
+])
+def test_non_finite_or_undefined_input_exit_1(capsys, tmp_path, bad):
+    v = {"x1": bad, "x2": bad}
+    code, out = compute(capsys, tmp_path, "cross_ratio", {"vectors": [v] * 4})
+    assert code == 1
+    assert set(json.loads(out)) == {"error", "message"}
+
+
+def test_dump_rejects_non_finite():
+    assert _dump({"a": [1.5, None, True]}) == '{"a": [1.5, null, true]}'
+    for x in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            _dump({"residual": x})
+
+
+def test_verify_skip_policy_fail_is_valid_json(capsys):
+    code = main(["verify", "--suite", "gauge-theorem", "--ring", "matrix",
+                 "--trials", "60", "--seed", "0", "--skip-policy", "fail"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["trials_skipped"] > 0
+    skipped = [f for f in doc["failures"] if f["residual"] is None]
+    assert len(skipped) == doc["trials_skipped"]
+    assert all(f["inputs"] for f in skipped)

@@ -77,6 +77,25 @@ def test_ring_by_name():
         ring_by_name("octonion")
 
 
+def test_ring_by_name_matrix_dim():
+    assert ring_by_name("matrix").dim == 3
+    for dim in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            ring_by_name("matrix", dim)
+
+
+@pytest.mark.parametrize("obj", [
+    {"ring": "quaternion", "coeffs": [1.0, float("nan"), 0.0, 0.0]},
+    {"ring": "quaternion", "coeffs": ["inf"]},
+    {"ring": "complex", "re": float("-inf")},
+    {"ring": "matrix", "entries": [[1.0, {"re": 0.0, "im": float("nan")}],
+                                   [0.0, 1.0]]},
+])
+def test_scalar_from_json_rejects_non_finite(obj):
+    with pytest.raises(ValueError, match="non-finite"):
+        scalar_from_json(obj)
+
+
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
 

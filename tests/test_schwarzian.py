@@ -1,17 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ncross.errors import UndefinedExpression
+from ncross.errors import (NonPositiveKappa, QuadratureFailure,
+                           UndefinedExpression)
 from ncross.jets import Jet, cos_jet, sin_jet, tan_jet
 from ncross.scalars import COMPLEX, QUATERNION, RATIONAL, Seed, sample
 from ncross import schwarzian
-from ncross.schwarzian import (VectorFieldPair, expansion_check,
+from ncross.schwarzian import (KAPPA_FIELDS, KappaField, VectorFieldPair,
+                               expansion_check,
                                gauge_theorem_check, gauge_transform_a,
                                infinitesimal_ceva, kappa_field, nc_schwarzian,
-                               ncsch, propagate_gauge, propagate_left,
+                               propagate_gauge, propagate_left,
                                recover_ode_coeffs, richardson_c_over_eps3,
                                schwarzian_equation_check)
 
@@ -217,3 +222,87 @@ def test_infinitesimal_ceva_series(xi, eta):
     assert sp.cancel(log_c.coeff(e, 1)) == 0
     assert sp.cancel(log_c.coeff(e, 2)) == 0
     assert sp.cancel(log_c.coeff(e, 3) - s3) == 0
+
+
+# ---------------------------------------------------------------------------
+# the 21-point Gauss-Kronrod rule behind infinitesimal_ceva
+
+PAIRS = {"axes": ((1.0, 0.0), (0.0, 1.0)), "diagonal": ((1.0, 1.0), (1.0, 1.0))}
+
+#: c_minus_1 of the ceva-infinitesimal suite's configurations, recorded
+#: with scipy's quad(epsabs=1e-12, epsrel=1e-12); (field, pair) -> values
+#: at eps 0.05 and 0.025
+CEVA_GOLDEN = {
+    ("const1", "axes"): (0.0, 0.0),
+    ("const1", "diagonal"): (0.0, 0.0),
+    ("exp_y", "axes"): (0.0, 0.0),
+    ("exp_y", "diagonal"): (0.0, 0.0),
+    ("gauss", "axes"): (5.206955562719884e-06, 6.509983294655797e-07),
+    ("gauss", "diagonal"): (0.0, 0.0),
+    ("poly", "axes"): (8.743749298867343e-05, 1.0617039581051202e-05),
+    ("poly", "diagonal"): (0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name, pair", sorted(CEVA_GOLDEN))
+def test_infinitesimal_ceva_golden(name, pair):
+    base = (0.0, 0.0) if name in ("const1", "exp_y") else (0.3, -0.2)
+    vf = VectorFieldPair(*PAIRS[pair], kappa_field(name))
+    got = tuple(infinitesimal_ceva(vf, base, eps).c_minus_1
+                for eps in (0.05, 0.025))
+    assert got == CEVA_GOLDEN[name, pair]
+
+
+def _ceva_segments():
+    """The six sides of infinitesimal_ceva's triangle over a grid of fields,
+    field pairs, base points and eps."""
+    pairs = (*PAIRS.values(), ((1.5, 0.3), (-0.5, 2.0)))
+    bases = ((0.0, 0.0), (0.3, -0.2), (0.1, 0.7))
+    epss = (0.2, 0.1, 0.05, 0.025, 1e-2) + tuple(2.0 ** -k for k in range(3, 8))
+    for field in KAPPA_FIELDS.values():
+        for xi, eta in pairs:
+            xi, eta = np.asarray(xi), np.asarray(eta)
+            for x in bases:
+                x = np.asarray(x)
+                for eps in epss:
+                    B, C = x + 2 * eps * xi, x + 2 * eps * eta
+                    K, L, M = x + eps * xi, B + eps * (eta - xi), x + eps * eta
+                    for p, q in ((x, K), (K, B), (B, L), (L, C), (C, M), (M, x)):
+                        yield field, p, q
+
+
+def test_seg_length_matches_scipy_quad():
+    quad = pytest.importorskip("scipy.integrate").quad
+    n = 0
+    for field, p, q in _ceva_segments():
+        ref, _ = quad(lambda s: field.value(*(p + s * (q - p))), 0.0, 1.0,
+                      epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert schwarzian._seg_length(field, p, q) == ref
+        n += 1
+    assert n == 2160
+
+
+def _field(value):
+    return KappaField("test", value, None, None, None)
+
+
+def test_seg_length_rejects_non_positive_kappa():
+    with pytest.raises(NonPositiveKappa):
+        schwarzian._seg_length(_field(lambda x, y: 1.0 - x),
+                               np.zeros(2), np.array([2.0, 0.0]))
+
+
+def test_seg_length_reports_quadrature_failure():
+    step = _field(lambda x, y: 1.0 if x < 0.37 else 2.0)
+    with pytest.raises(QuadratureFailure):
+        schwarzian._seg_length(step, np.zeros(2), np.array([1.0, 0.0]))
+
+
+def test_cli_imports_without_scipy():
+    code = ("import sys; sys.modules['scipy'] = None; import ncross.cli; "
+            "from ncross import schwarzian as s; "
+            "f = s.kappa_field('poly'); "
+            "s.infinitesimal_ceva(s.VectorFieldPair((1, 0), (0, 1), f), "
+            "(0.3, -0.2), 0.05)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
