@@ -6,6 +6,13 @@ Every scalar is immutable, carries a reference to its ring, and supports
 noncommutative ring with zero divisors rather than a division ring, so
 ``inv()`` may raise :class:`NotInvertible`; callers treat that as "the
 expression is undefined here" and move on.
+
+Sampling contract: ``sample(ring, Seed(s, c))`` is the draw numpy's
+``Generator(PCG64(SeedSequence(s, spawn_key=(c,))))`` makes for that ring
+(``uniform(-1, 1)`` entries, or ``integers(-256, 257)`` over 256 for the
+rationals), repeated on the same stream until the ring's guard passes.
+The stream itself is computed in :mod:`ncross._stream`, so reports do not
+depend on numpy's ``Generator`` algorithms.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._stream import Stream
 from .errors import (
     DimensionMismatch,
     NotInvertible,
@@ -41,11 +49,6 @@ class Seed:
 
     def bump(self, k: int = 1) -> "Seed":
         return Seed(self.seed, self.counter + k)
-
-
-def _rng(seed: int, counter: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(counter,))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _coerce(ring, x):
@@ -104,10 +107,16 @@ class Quaternion(Scalar):
     def __add__(self, q):
         if not isinstance(q, Quaternion):
             return NotImplemented
-        return Quaternion(self.w + q.w, self.x + q.x, self.y + q.y, self.z + q.z)
+        return _quat(self.w + q.w, self.x + q.x, self.y + q.y, self.z + q.z)
+
+    def __sub__(self, q):
+        # the same IEEE results as self + (-q), signed zeros included
+        if not isinstance(q, Quaternion):
+            return NotImplemented
+        return _quat(self.w - q.w, self.x - q.x, self.y - q.y, self.z - q.z)
 
     def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _quat(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, q):
         if not isinstance(q, Quaternion):
@@ -116,7 +125,7 @@ class Quaternion(Scalar):
                 return NotImplemented
         a, b, c, d = self.w, self.x, self.y, self.z
         e, f, g, h = q.w, q.x, q.y, q.z
-        return Quaternion(
+        return _quat(
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
@@ -124,16 +133,16 @@ class Quaternion(Scalar):
         )
 
     def conj(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _quat(self.w, -self.x, -self.y, -self.z)
 
     def norm(self):
         return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
 
     def inv(self, eps=1e-12):
         n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-        if math.sqrt(n2) < eps:
+        if not math.sqrt(n2) >= eps:  # also refuses NaN
             raise NotInvertible("quaternion norm below threshold")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _quat(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def __repr__(self):
         return f"Quaternion({self.w:g}, {self.x:g}, {self.y:g}, {self.z:g})"
@@ -146,6 +155,22 @@ class Quaternion(Scalar):
 
     def __hash__(self):
         return hash((self.w, self.x, self.y, self.z))
+
+
+_new = object.__new__
+_set_w, _set_x, _set_y, _set_z = (Quaternion.__dict__[c].__set__
+                                  for c in "wxyz")
+
+
+def _quat(w, x, y, z):
+    """A Quaternion from four floats, skipping ``float()`` and the
+    ``__setattr__`` guard: arithmetic builds one per result."""
+    q = _new(Quaternion)
+    _set_w(q, w)
+    _set_x(q, x)
+    _set_y(q, y)
+    _set_z(q, z)
+    return q
 
 
 class MatScalar(Scalar):
@@ -249,7 +274,7 @@ class ComplexScalar(Scalar):
         return abs(self.v)
 
     def inv(self, eps=1e-12):
-        if abs(self.v) < eps:
+        if not abs(self.v) >= eps:  # also refuses NaN
             raise NotInvertible("complex scalar too close to zero")
         return ComplexScalar(1.0 / self.v)
 
@@ -327,14 +352,14 @@ class Ring:
 
     def sample(self, seed: Seed) -> Scalar:
         """Draw a deterministic guard-passing scalar for (seed, counter)."""
-        rng = _rng(seed.seed, seed.counter)
+        stream = Stream(seed.seed, seed.counter)
         for _ in range(RESAMPLE_LIMIT):
-            cand = self._draw(rng)
+            cand = self._draw(stream)
             if self._guard(cand):
                 return cand
         raise ResampleLimitExceeded(self.name)
 
-    def _draw(self, rng):
+    def _draw(self, stream: Stream) -> Scalar:
         raise NotImplementedError
 
     def _guard(self, cand) -> bool:
@@ -351,8 +376,8 @@ class QuaternionRing(Ring):
     def from_real(self, x):
         return Quaternion(float(x))
 
-    def _draw(self, rng):
-        return Quaternion(*rng.uniform(-1.0, 1.0, size=4))
+    def _draw(self, stream):
+        return _quat(*stream.uniform(4))
 
 
 class MatrixRing(Ring):
@@ -367,8 +392,9 @@ class MatrixRing(Ring):
     def from_real(self, x):
         return MatScalar(float(x) * np.eye(self.dim))
 
-    def _draw(self, rng):
-        return MatScalar(rng.uniform(-1.0, 1.0, size=(self.dim, self.dim)))
+    def _draw(self, stream):
+        d = self.dim
+        return MatScalar(np.array(stream.uniform(d * d)).reshape(d, d))
 
     def _guard(self, cand):
         cond = np.linalg.cond(cand.a)
@@ -388,9 +414,8 @@ class ComplexRing(Ring):
     def from_real(self, x):
         return ComplexScalar(float(x))
 
-    def _draw(self, rng):
-        re, im = rng.uniform(-1.0, 1.0, size=2)
-        return ComplexScalar(complex(re, im))
+    def _draw(self, stream):
+        return ComplexScalar(complex(*stream.uniform(2)))
 
 
 class RationalRing(Ring):
@@ -402,10 +427,10 @@ class RationalRing(Ring):
             raise ValueError("RationalRing accepts exact values only")
         return RationalScalar(Fraction(x))
 
-    def _draw(self, rng):
+    def _draw(self, stream):
         # dyadic grid on [-1, 1]; exact, well spread, and fine enough that
         # coincidences between independent draws are rare
-        return RationalScalar(int(rng.integers(-256, 257)), 256)
+        return RationalScalar(stream.integers(-256, 257), 256)
 
 
 QUATERNION = QuaternionRing()

@@ -9,6 +9,7 @@ or when the skipped fraction exceeds the ceiling."""
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from fractions import Fraction
 from dataclasses import dataclass, field
@@ -74,6 +75,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not self.tol > 0:  # also rejects NaN
             raise ValueError("tol must be positive")
         if self.skip_policy not in ("count", "fail"):
@@ -82,7 +85,9 @@ class SuiteConfig:
 
 class Failure(NamedTuple):
     counter: int
-    residual: float | None  # None for a trial skipped under skip_policy "fail"
+    #: None for a trial skipped under skip_policy "fail"; a non-finite
+    #: residual is kept here and reported as null
+    residual: float | None
     inputs: list
 
 
@@ -106,7 +111,10 @@ class Report:
             "trials_skipped": self.trials_skipped,
             "max_residual": self.max_residual,
             "failures": [
-                {"counter": f.counter, "residual": f.residual, "inputs": f.inputs}
+                {"counter": f.counter,
+                 "residual": (f.residual if f.residual is not None
+                              and math.isfinite(f.residual) else None),
+                 "inputs": f.inputs}
                 for f in self.failures
             ],
             "pass": self.passed,
@@ -590,6 +598,9 @@ def run_suite(cfg: SuiteConfig, workers: int = 1) -> Report:
             skipped += 1
             if cfg.skip_policy == "fail":
                 failures.append(Failure(idx, None, inputs))
+            continue
+        if not math.isfinite(residual):  # NaN would slip past max and > tol
+            failures.append(Failure(idx, residual, inputs))
             continue
         max_res = max(max_res, residual)
         if residual > cfg.tol:
