@@ -17,6 +17,7 @@ depend on numpy's ``Generator`` algorithms.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,10 @@ DEFAULT_RTOL = 1e-9
 MIN_SAMPLE_NORM = 0.1
 MAX_SAMPLE_COND = 1e4
 RESAMPLE_LIMIT = 1000
+
+#: MatScalar.inv's default refusal thresholds
+INV_COND_MAX = 1e8
+INV_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,13 +141,37 @@ class Quaternion(Scalar):
         return _quat(self.w, -self.x, -self.y, -self.z)
 
     def norm(self):
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
+        try:
+            n = math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2
+                          + self.z ** 2)
+        except OverflowError:  # a square beyond the float range
+            n = math.inf
+        if n == math.inf:
+            return math.hypot(self.w, self.x, self.y, self.z)
+        return n
 
     def inv(self, eps=1e-12):
-        n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+        try:
+            n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+        except OverflowError:
+            n2 = math.inf
+        if n2 == math.inf:
+            return self._inv_scaled()
         if not math.sqrt(n2) >= eps:  # also refuses NaN
             raise NotInvertible("quaternion norm below threshold")
         return _quat(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+
+    def _inv_scaled(self):
+        """The inverse when the squared norm overflows: conj(q/m) over
+        m |q/m|^2 with m the largest |component|.  An infinite component
+        has no inverse."""
+        parts = (self.w, self.x, self.y, self.z)
+        if not all(map(math.isfinite, parts)):
+            raise NotInvertible("quaternion has an infinite component")
+        m = max(map(abs, parts))
+        w, x, y, z = (c / m for c in parts)
+        n2 = w * w + x * x + y * y + z * z
+        return _quat(w / n2 / m, -x / n2 / m, -y / n2 / m, -z / n2 / m)
 
     def __repr__(self):
         return f"Quaternion({self.w:g}, {self.x:g}, {self.y:g}, {self.z:g})"
@@ -176,18 +205,29 @@ def _quat(w, x, y, z):
 class MatScalar(Scalar):
     """A d x d matrix used as one noncommutative scalar.
 
-    Inversion is guarded: we refuse when the estimated condition number
-    exceeds ``cond_max`` or when the solve residual is large, since a
-    nearly singular "scalar" would silently destroy identity checks."""
+    Inversion is guarded: we refuse when the 2-norm condition number
+    exceeds ``cond_max`` or when the residual ``|a x - 1|`` of the computed
+    inverse exceeds ``tol``, since a nearly singular "scalar" would silently
+    destroy identity checks.
 
-    __slots__ = ("a",)
+    The scalar owns a read-only copy of its entries, so its inverse is a
+    function of the object: the first ``inv()`` with the default
+    ``cond_max`` and ``tol`` stores its result, and later default calls
+    return that same object.  Calls with other arguments compute afresh
+    and store nothing.  The condition number is computed at most once per
+    object as well; a sampled matrix carries the one its ring's guard
+    computed.  Refusals are not stored."""
+
+    __slots__ = ("a", "_inv", "_cond")
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
+        a = np.array(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("MatScalar requires a square array")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_cond", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MatScalar is immutable")
@@ -203,43 +243,103 @@ class MatScalar(Scalar):
     def _check(self, q):
         if not isinstance(q, MatScalar):
             return None
-        if q.dim != self.dim:
+        if q.a.shape != self.a.shape:
             raise DimensionMismatch(f"dim {self.dim} vs {q.dim}")
         return q
 
     def __add__(self, q):
         if self._check(q) is None:
             return NotImplemented
-        return MatScalar(self.a + q.a)
+        return _mat(self.a + q.a)
+
+    def __sub__(self, q):
+        # the same IEEE results as self + (-q), signed zeros included
+        if self._check(q) is None:
+            return NotImplemented
+        return _mat(self.a - q.a)
 
     def __neg__(self):
-        return MatScalar(-self.a)
+        return _mat(-self.a)
 
     def __mul__(self, q):
         if self._check(q) is None:
             q = _coerce(self.ring, q)
             if q is None:
                 return NotImplemented
-        return MatScalar(self.a @ q.a)
+        return _mat(self.a @ q.a)
 
     def norm(self):
         return float(np.linalg.norm(self.a, "fro"))
 
-    def inv(self, cond_max=1e8, tol=1e-6):
-        try:
-            cond = np.linalg.cond(self.a)
-        except np.linalg.LinAlgError:
-            raise NotInvertible("condition estimate failed")
-        if not np.isfinite(cond) or cond > cond_max:
+    def inv(self, cond_max=INV_COND_MAX, tol=INV_TOL):
+        memo = cond_max == INV_COND_MAX and tol == INV_TOL
+        if memo and self._inv is not None:
+            return self._inv
+        a = self.a
+        cond = self._cond
+        if cond is None:
+            try:
+                cond = _cond(a)
+            except np.linalg.LinAlgError:
+                raise NotInvertible("condition estimate failed")
+            _set_cond(self, cond)
+        if not math.isfinite(cond) or cond > cond_max:
             raise NotInvertible(f"condition {cond:.3g} exceeds {cond_max:.3g}")
-        x = np.linalg.solve(self.a, np.eye(self.dim))
-        resid = np.linalg.norm(self.a @ x - np.eye(self.dim))
+        x = np.linalg.inv(a)
+        resid = np.linalg.norm(a @ x - _eye(a.shape[0]))
         if resid > tol:
             raise NotInvertible(f"solve residual {resid:.3g}")
-        return MatScalar(x)
+        r = _mat(x)
+        if memo:
+            _set_inv(self, r)
+        return r
 
     def __repr__(self):
         return f"MatScalar({np.array2string(self.a, precision=4)})"
+
+
+_set_a, _set_inv, _set_cond = (MatScalar.__dict__[n].__set__
+                               for n in MatScalar.__slots__)
+
+
+def _mat(a):
+    """A MatScalar owning the fresh complex square array ``a``, skipping the
+    copy and the shape check: arithmetic builds one per result."""
+    a.setflags(write=False)
+    m = _new(MatScalar)
+    _set_a(m, a)
+    _set_inv(m, None)
+    _set_cond(m, None)
+    return m
+
+
+def _cond(a):
+    """``np.linalg.cond(a)`` from one bare SVD: s[0] / s[-1] as IEEE
+    division, and NaN turned into inf unless ``a`` holds a NaN.  An SVD
+    that does not converge raises ``LinAlgError``."""
+    s = np.linalg.svd(a, compute_uv=False).tolist()
+    if not s:
+        raise np.linalg.LinAlgError("cond is not defined on empty arrays")
+    hi, lo = s[0], s[-1]
+    try:
+        r = hi / lo
+    except ZeroDivisionError:
+        r = math.copysign(math.inf, lo) if hi > 0 else math.nan
+    if r != r and not np.isnan(a).any():
+        r = math.inf
+    return r
+
+
+_EYES: dict[int, np.ndarray] = {}
+
+
+def _eye(d):
+    """The read-only d x d identity, one per dimension."""
+    e = _EYES.get(d)
+    if e is None:
+        e = _EYES[d] = np.eye(d)
+        e.setflags(write=False)
+    return e
 
 
 class ComplexScalar(Scalar):
@@ -271,11 +371,24 @@ class ComplexScalar(Scalar):
         return ComplexScalar(self.v * q.v)
 
     def norm(self):
-        return abs(self.v)
+        try:
+            return abs(self.v)
+        except OverflowError:  # a finite modulus beyond the float range
+            return math.inf
 
     def inv(self, eps=1e-12):
-        if not abs(self.v) >= eps:  # also refuses NaN
+        try:
+            n = abs(self.v)
+        except OverflowError:
+            n = math.inf
+        if not n >= eps:  # also refuses NaN
             raise NotInvertible("complex scalar too close to zero")
+        if n >= 2.0 ** 1023:  # 1.0 / v may overflow inside the division
+            v = self.v
+            if not cmath.isfinite(v):
+                raise NotInvertible("complex scalar has an infinite part")
+            m = max(abs(v.real), abs(v.imag))
+            return ComplexScalar(1.0 / (v / m) / m)
         return ComplexScalar(1.0 / self.v)
 
     def __repr__(self):
@@ -394,11 +507,14 @@ class MatrixRing(Ring):
 
     def _draw(self, stream):
         d = self.dim
-        return MatScalar(np.array(stream.uniform(d * d)).reshape(d, d))
+        return _mat(np.array(stream.uniform(d * d), dtype=complex)
+                    .reshape(d, d))
 
     def _guard(self, cand):
-        cond = np.linalg.cond(cand.a)
-        return np.isfinite(cond) and cond <= MAX_SAMPLE_COND
+        # kept on the candidate, so that inverting it needs no second SVD
+        cond = _cond(cand.a)
+        _set_cond(cand, cond)
+        return math.isfinite(cond) and cond <= MAX_SAMPLE_COND
 
     def __eq__(self, other):
         return isinstance(other, MatrixRing) and other.dim == self.dim

@@ -1,6 +1,10 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ncross.cli import OPS, _dump, main
 from ncross.crossratio import PolarizationQuad, cross_ratio, dv
@@ -350,3 +354,120 @@ def test_verify_skip_policy_fail_is_valid_json(capsys):
     skipped = [f for f in doc["failures"] if f["residual"] is None]
     assert len(skipped) == doc["trials_skipped"]
     assert all(f["inputs"] for f in skipped)
+
+
+# ---------------------------------------------------------------------------
+# compute on random input: an exit code, valid JSON and never a traceback
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_leaf = st.one_of(st.none(), st.booleans(), st.integers(), _floats,
+                  st.text(max_size=4))
+
+
+def _scalar(ring, dim=2):
+    if ring == "rational":
+        return st.fixed_dictionaries({"ring": st.just("rational"),
+                                      "num": st.integers(-9, 9),
+                                      "den": st.integers(-3, 9)})
+    if ring == "quaternion":
+        return st.fixed_dictionaries({
+            "ring": st.just("quaternion"),
+            "coeffs": st.lists(_floats, min_size=4, max_size=4)})
+    if ring == "complex":
+        return st.fixed_dictionaries({"ring": st.just("complex"),
+                                      "re": _floats, "im": _floats})
+    return st.fixed_dictionaries({
+        "ring": st.just("matrix"),
+        "entries": st.lists(st.lists(st.floats(-2, 2), min_size=dim,
+                                     max_size=dim),
+                            min_size=dim, max_size=dim)})
+
+
+_RINGS = ("rational", "quaternion", "complex", "matrix")
+_any_scalar = st.one_of(*(_scalar(r) for r in _RINGS))
+_json = st.recursive(
+    _leaf | _any_scalar,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=10)
+
+
+def _paths(obj, path=()):
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _is_scalar(obj):
+    return isinstance(obj, dict) and "ring" in obj
+
+
+@st.composite
+def _compute_input(draw, op):
+    """File contents for ``compute --op op``: the op's payload over a random
+    ring with random small indices, that payload with one part replaced or
+    removed, any JSON value, or bytes that are seldom JSON."""
+    kind = draw(st.sampled_from(("valid", "mutated", "json", "bytes")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "json":
+        return json.dumps(draw(_json)).encode()
+    payload = copy.deepcopy(OP_CASES[op]()[0])
+    ring = draw(st.sampled_from(_RINGS))
+    dim = draw(st.integers(1, 3))
+    for path in [q for q in _paths(payload) if _is_scalar(_get(payload, q))]:
+        _set(payload, path, draw(_scalar(ring, dim)))
+    for key in [k for k, v in payload.items() if type(v) is int]:
+        payload[key] = draw(st.integers(-1, 4))  # indices, in range or not
+    if kind == "mutated":
+        path = draw(st.sampled_from(list(_paths(payload))[1:]))
+        if draw(st.booleans()):
+            _set(payload, path, draw(st.integers(-6, 6) | _json))
+        else:
+            parent = _get(payload, path[:-1])
+            del parent[path[-1]]
+    return json.dumps(payload).encode()
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _set(obj, path, value):
+    _get(obj, path[:-1])[path[-1]] = value
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_compute_on_random_input_never_crashes(tmp_path_factory, op):
+    path = tmp_path_factory.mktemp("compute") / "in.json"
+
+    @given(data=_compute_input(op))
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None, suppress_health_check=list(HealthCheck))
+    def run(data):
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["compute", "--op", op, "--input", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err
+            return
+        doc = _strict_json(out)
+        assert ("error" in doc) == (code == 1)
+        if code == 1:
+            assert set(doc) == {"error", "message"}
+
+    run()

@@ -231,3 +231,233 @@ def test_sample_matches_numpy_path(ring):
     for seed in seeds:
         assert (scalar_to_json(sample(ring, seed))
                 == scalar_to_json(_numpy_sample(ring, seed)))
+
+
+# ---------------------------------------------------------------------------
+# MatScalar.inv: the memoised inverse against the cond + solve + residual
+# formula it replaced
+
+
+def _old_inv(m, cond_max=1e8, tol=1e-6):
+    """The inverse as computed before memoisation: ``np.linalg.cond``,
+    ``solve`` against the identity, then the residual check."""
+    try:
+        cond = np.linalg.cond(m.a)
+    except np.linalg.LinAlgError:
+        raise NotInvertible("condition estimate failed")
+    if not np.isfinite(cond) or cond > cond_max:
+        raise NotInvertible(f"condition {cond:.3g} exceeds {cond_max:.3g}")
+    x = np.linalg.solve(m.a, np.eye(m.dim))
+    resid = np.linalg.norm(m.a @ x - np.eye(m.dim))
+    if resid > tol:
+        raise NotInvertible(f"solve residual {resid:.3g}")
+    return x
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result's bytes, or the exception's class and message."""
+    try:
+        r = fn(*args, **kwargs)
+    except Exception as e:  # noqa: BLE001 - the class is what is compared
+        return type(e), str(e)
+    return r.a.tobytes() if isinstance(r, MatScalar) else r.tobytes()
+
+
+def _assert_inv_matches_old(m, **kwargs):
+    old = _outcome(_old_inv, m, **kwargs)
+    assert _outcome(m.inv, **kwargs) == old
+    assert _outcome(m.inv, **kwargs) == old  # again, from the memo
+
+
+def test_matscalar_inv_matches_old_formula_on_samples():
+    ring = matrix_ring(3)
+    ms = [sample(ring, Seed(s, c)) for s in (0, 11) for c in range(1000)]
+    for m in ms:
+        assert m._cond == np.linalg.cond(m.a)  # the guard's, kept
+        _assert_inv_matches_old(m)
+
+
+def test_matscalar_inv_matches_old_formula_on_derived():
+    ring = matrix_ring(3)
+    xs = [sample(ring, Seed(23, c)) for c in range(1000)]
+    derived = []
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        derived += [a - b, a * b, a + b, -a, a - a, a * (a - a),
+                    MatScalar(a.a.real)]
+    assert len(derived) >= 2000
+    for m in derived:
+        _assert_inv_matches_old(m)
+
+
+def test_matscalar_inv_matches_old_formula_inside_qp_left(monkeypatch):
+    from ncross.errors import UndefinedExpression
+    from ncross.plucker import Vec2, qp_left
+    seen = []
+    inv = MatScalar.inv
+
+    def recording(self, *args, **kwargs):
+        seen.append(self)
+        return inv(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatScalar, "inv", recording)
+    ring = matrix_ring(3)
+    for c in range(0, 2000, 8):
+        cols = [Vec2(sample(ring, Seed(31, c + 2 * j)),
+                     sample(ring, Seed(31, c + 2 * j + 1))) for j in range(4)]
+        for i, j, k in ((0, 1, 2), (1, 3, 0), (2, 2, 1)):
+            try:
+                qp_left(cols, i, j, k)
+            except UndefinedExpression:
+                pass
+    monkeypatch.undo()
+    assert len(seen) >= 2000
+    for m in seen:
+        _assert_inv_matches_old(m)
+
+
+@pytest.mark.parametrize("entries", [
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[-0.0, 0.0], [0.0, -0.0]],
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[1.0, 0.0], [0.0, 1e-9]],
+    [[1e300, 0.0], [0.0, 1e-300]],
+    [[1.0, 0.0], [0.0, float("nan")]],
+    [[float("nan")] * 2] * 2,
+    [[float("inf"), 0.0], [0.0, 1.0]],
+    [[1.0, float("-inf")], [0.0, 1.0]],
+    np.zeros((0, 0)),
+], ids=["zero", "signed-zero", "rank-1", "cond-1e9", "cond-overflow",
+        "nan-entry", "all-nan", "inf-entry", "minus-inf", "empty"])
+def test_matscalar_inv_refusals_match_old_formula(entries):
+    m = MatScalar(entries)
+    old = _outcome(_old_inv, m)
+    assert old[0] is NotInvertible
+    _assert_inv_matches_old(m)
+
+
+def test_matscalar_inv_non_default_arguments_match_old_formula():
+    m = sample(matrix_ring(3), Seed(4, 2))
+    for kwargs in ({"cond_max": 2.0}, {"tol": 1e-30}, {"tol": 1e-3},
+                   {"cond_max": 1e12, "tol": 1e-9}):
+        _assert_inv_matches_old(m, **kwargs)
+
+
+def test_matscalar_inv_is_memoised():
+    m = sample(matrix_ring(3), Seed(4, 0))
+    assert m.inv() is m.inv()
+    d = m - sample(matrix_ring(3), Seed(4, 1))
+    assert d.inv() is d.inv()
+    assert m.inv().inv() is not m  # no back-reference
+
+
+def test_matscalar_inv_non_default_arguments_bypass_memo():
+    m = sample(matrix_ring(3), Seed(4, 3))
+    fresh = m.inv(tol=1e-5)
+    assert m._inv is None
+    first = m.inv()
+    assert fresh is not first and fresh.a.tobytes() == first.a.tobytes()
+    assert m.inv(cond_max=1e9) is not first
+    assert m.inv() is first
+
+
+def test_matscalar_slots_refuse_setattr():
+    m = sample(matrix_ring(3), Seed(4, 4))
+    m.inv()
+    for name, value in (("a", np.eye(3)), ("_inv", m), ("_cond", 1.0)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+
+
+def test_matscalar_results_are_read_only():
+    ring = matrix_ring(3)
+    a, b = sample(ring, Seed(8, 0)), sample(ring, Seed(8, 1))
+    for r in (a + b, a - b, -a, a * b, 2 * a, a * 2.5, a.inv(),
+              a.inv(cond_max=1e9), ring.one, MatScalar([[1, 2], [3, 4]])):
+        assert type(r) is MatScalar and r.a.dtype == complex
+        assert not r.a.flags.writeable
+        with pytest.raises(ValueError):
+            r.a[0, 0] = 7.0
+
+
+def test_matscalar_copies_its_entries():
+    arr = np.eye(2, dtype=complex)
+    m = MatScalar(arr)
+    assert arr.flags.writeable and m.a is not arr
+    arr[0, 0] = 5.0
+    assert m.a[0, 0] == 1.0
+
+
+def test_matscalar_sub_is_add_neg():
+    z = MatScalar([[0.0, -0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]])
+    w = MatScalar([[-0.0, 0.0], [complex(0.0, -0.0), complex(-0.0, -0.0)]])
+    s = sample(matrix_ring(2), Seed(2, 0))
+    for a in (z, w, s):
+        for b in (z, w, s):
+            assert (a - b).a.tobytes() == (a + (-b)).a.tobytes()
+
+
+def test_matrix_guard_propagates_svd_failure():
+    with pytest.raises(np.linalg.LinAlgError):
+        matrix_ring(2)._guard(MatScalar([[float("nan"), 0.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# quaternion and complex inverses at the ends of the float range
+
+
+def test_quaternion_inv_and_norm_finite_path_unchanged():
+    for c in range(2000):
+        q = sample(QUATERNION, Seed(17, c))
+        n2 = q.w ** 2 + q.x ** 2 + q.y ** 2 + q.z ** 2
+        r = q.inv()
+        assert (r.w, r.x, r.y, r.z) == (q.w / n2, -q.x / n2, -q.y / n2,
+                                        -q.z / n2)
+        assert q.norm() == math.sqrt(n2)
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(1e200, 0.0, 0.0, 0.0),
+    Quaternion(-3e250, 2e250, 1.0, -5e249),
+    Quaternion(1.2e154, 1.2e154, 0.0, 0.0),  # squares finite, sum is not
+    Quaternion(0.0, 0.0, -1.7e308, 1.7e308),
+])
+def test_quaternion_inv_and_norm_beyond_squared_range(q):
+    parts = (q.w, q.x, q.y, q.z)
+    assert q.norm() == math.hypot(*parts)
+    r = q.inv()
+    assert any((r.w, r.x, r.y, r.z))
+    assert (q * r).approx_eq(QUATERNION.one, atol=1e-15, rtol=0.0)
+    assert (r * q).approx_eq(QUATERNION.one, atol=1e-15, rtol=0.0)
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(float("inf"), 1.0, 0.0, 0.0),
+    Quaternion(0.0, 0.0, float("-inf"), 0.0),
+    Quaternion(float("inf"), float("nan"), 0.0, 0.0),
+])
+def test_quaternion_inv_refuses_infinity(q):
+    with pytest.raises(NotInvertible):
+        q.inv()
+
+
+@pytest.mark.parametrize("v", [complex(float("inf"), 1.0),
+                               complex(0.0, float("-inf")),
+                               complex(float("nan"), float("inf"))])
+def test_complex_inv_refuses_infinity(v):
+    with pytest.raises(NotInvertible):
+        ComplexScalar(v).inv()
+
+
+@pytest.mark.parametrize("v", [complex(1.2e308, 1.2e308),
+                               complex(1.7e308, -1.7e308),
+                               complex(-1e308, 3.0)])
+def test_complex_inv_and_norm_near_overflow(v):
+    c = ComplexScalar(v)
+    assert c.norm() > 1e307
+    assert abs(c.inv().v * v - 1.0) < 1e-15
+
+
+def test_complex_inv_finite_path_unchanged():
+    for k in range(2000):
+        c = sample(COMPLEX, Seed(19, k))
+        assert c.inv().v == 1.0 / c.v
