@@ -53,7 +53,10 @@ def _dump(obj) -> str:
 
 
 def _emit(obj, out_path=None):
-    text = _dump(obj) + "\n"
+    _write(_dump(obj) + "\n", out_path)
+
+
+def _write(text, out_path=None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -189,32 +192,36 @@ def _cmd_verify(args) -> int:
                       trials=args.trials, seed=args.seed, tol=args.tol,
                       skip_policy=args.skip_policy)
     report = run_suite(cfg, workers=args.workers)
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        lines = [
-            f"suite         {report.suite}",
-            f"ring          {report.ring}",
-            f"trials run    {report.trials_run}",
-            f"skipped       {report.trials_skipped}",
-            f"max residual  {format(report.max_residual, '.17g')}",
-            f"failures      {len(report.failures)}",
-            f"pass          {report.passed}",
-            f"wall time     {report.wall_time:.3f}s",
-        ]
-        if report.notes:
-            lines.append(f"notes         {report.notes}")
-        for f in report.failures[:20]:
-            lines.append(f"  trial {f.counter}: " + (
-                "skipped" if f.residual is None
-                else f"residual {format(f.residual, '.17g')}"))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+    try:
+        if args.format == "json":
+            _emit(report.to_json(), args.out)
         else:
-            sys.stdout.write(text)
+            _write(_text_report(report), args.out)
+    except OSError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
+
+
+def _text_report(report) -> str:
+    """The report as aligned lines for ``--format text``."""
+    lines = [
+        f"suite         {report.suite}",
+        f"ring          {report.ring}",
+        f"trials run    {report.trials_run}",
+        f"skipped       {report.trials_skipped}",
+        f"max residual  {format(report.max_residual, '.17g')}",
+        f"failures      {len(report.failures)}",
+        f"pass          {report.passed}",
+        f"wall time     {report.wall_time:.3f}s",
+    ]
+    if report.notes:
+        lines.append(f"notes         {report.notes}")
+    for f in report.failures[:20]:
+        lines.append(f"  trial {f.counter}: " + (
+            "skipped" if f.residual is None
+            else f"residual {format(f.residual, '.17g')}"))
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_compute(args) -> int:

@@ -2,10 +2,13 @@
 numbers.
 
 Every scalar is immutable, carries a reference to its ring, and supports
-``+ - * neg``, ``inv()``, ``norm()`` and ``approx_eq()``.  Matrices are a
-noncommutative ring with zero divisors rather than a division ring, so
-``inv()`` may raise :class:`NotInvertible`; callers treat that as "the
-expression is undefined here" and move on.
+``+ - * neg``, ``inv()``, ``norm()`` and ``approx_eq()``.  Immutability is
+enforced once, in the :class:`Scalar` base: every class declares
+``__slots__``, so no scalar has an instance ``__dict__``, and the base
+refuses every attribute write or deletion (constructors fill the slots
+directly).  Matrices are a noncommutative ring with zero divisors rather
+than a division ring, so ``inv()`` may raise :class:`NotInvertible`;
+callers treat that as "the expression is undefined here" and move on.
 
 Sampling contract: ``sample(ring, Seed(s, c))`` is the draw numpy's
 ``Generator(PCG64(SeedSequence(s, spawn_key=(c,))))`` makes for that ring
@@ -18,7 +21,9 @@ depend on numpy's ``Generator`` algorithms.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +44,9 @@ MIN_SAMPLE_NORM = 0.1
 MAX_SAMPLE_COND = 1e4
 RESAMPLE_LIMIT = 1000
 
+#: below this a sum of squares has lost digits to underflow
+_MIN_NORMAL = sys.float_info.min
+
 #: MatScalar.inv's default refusal thresholds
 INV_COND_MAX = 1e8
 INV_TOL = 1e-6
@@ -52,9 +60,6 @@ class Seed:
     seed: int
     counter: int = 0
 
-    def bump(self, k: int = 1) -> "Seed":
-        return Seed(self.seed, self.counter + k)
-
 
 def _coerce(ring, x):
     """Lift plain numbers into the ring; None when x is not a number."""
@@ -66,7 +71,13 @@ def _coerce(ring, x):
 class Scalar:
     """Common behaviour for all ring elements."""
 
+    __slots__ = ()
     ring: "Ring"
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __rmul__(self, other):
         c = _coerce(self.ring, other)
@@ -84,9 +95,6 @@ class Scalar:
         d = (self - other).norm()
         return d <= atol + rtol * max(self.norm(), other.norm())
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def is_zero(self, tol=DEFAULT_ATOL) -> bool:
         return self.norm() <= tol
 
@@ -102,9 +110,6 @@ class Quaternion(Scalar):
         object.__setattr__(self, "y", float(y))
         object.__setattr__(self, "z", float(z))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Quaternion is immutable")
-
     @property
     def ring(self):
         return QUATERNION
@@ -115,7 +120,6 @@ class Quaternion(Scalar):
         return _quat(self.w + q.w, self.x + q.x, self.y + q.y, self.z + q.z)
 
     def __sub__(self, q):
-        # the same IEEE results as self + (-q), signed zeros included
         if not isinstance(q, Quaternion):
             return NotImplemented
         return _quat(self.w - q.w, self.x - q.x, self.y - q.y, self.z - q.z)
@@ -142,13 +146,14 @@ class Quaternion(Scalar):
 
     def norm(self):
         try:
-            n = math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2
-                          + self.z ** 2)
+            n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
         except OverflowError:  # a square beyond the float range
-            n = math.inf
-        if n == math.inf:
+            n2 = math.inf
+        # past the float range, or below the normal range where squares
+        # lose digits or vanish: hypot scales instead of squaring
+        if n2 == math.inf or n2 < _MIN_NORMAL:
             return math.hypot(self.w, self.x, self.y, self.z)
-        return n
+        return math.sqrt(n2)
 
     def inv(self, eps=1e-12):
         try:
@@ -229,9 +234,6 @@ class MatScalar(Scalar):
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_cond", None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MatScalar is immutable")
-
     @property
     def dim(self):
         return self.a.shape[0]
@@ -253,7 +255,6 @@ class MatScalar(Scalar):
         return _mat(self.a + q.a)
 
     def __sub__(self, q):
-        # the same IEEE results as self + (-q), signed zeros included
         if self._check(q) is None:
             return NotImplemented
         return _mat(self.a - q.a)
@@ -342,33 +343,45 @@ def _eye(d):
     return e
 
 
-class ComplexScalar(Scalar):
+class _Number(Scalar):
+    """A scalar whose value is one Python number ``v``; arithmetic stays
+    within the concrete class, so two such rings never mix."""
+
     __slots__ = ("v",)
+
+    def __add__(self, q):
+        if not isinstance(q, type(self)):
+            return NotImplemented
+        return type(self)(self.v + q.v)
+
+    def __sub__(self, q):
+        if not isinstance(q, type(self)):
+            return NotImplemented
+        return type(self)(self.v - q.v)
+
+    def __neg__(self):
+        return type(self)(-self.v)
+
+    def __mul__(self, q):
+        if not isinstance(q, type(self)):
+            q = _coerce(self.ring, q)
+            if q is None:
+                return NotImplemented
+        return type(self)(self.v * q.v)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.v})"
+
+
+class ComplexScalar(_Number):
+    __slots__ = ()
 
     def __init__(self, v):
         object.__setattr__(self, "v", complex(v))
 
-    def __setattr__(self, *a):
-        raise AttributeError("ComplexScalar is immutable")
-
     @property
     def ring(self):
         return COMPLEX
-
-    def __add__(self, q):
-        if not isinstance(q, ComplexScalar):
-            return NotImplemented
-        return ComplexScalar(self.v + q.v)
-
-    def __neg__(self):
-        return ComplexScalar(-self.v)
-
-    def __mul__(self, q):
-        if not isinstance(q, ComplexScalar):
-            q = _coerce(self.ring, q)
-            if q is None:
-                return NotImplemented
-        return ComplexScalar(self.v * q.v)
 
     def norm(self):
         try:
@@ -391,39 +404,18 @@ class ComplexScalar(Scalar):
             return ComplexScalar(1.0 / (v / m) / m)
         return ComplexScalar(1.0 / self.v)
 
-    def __repr__(self):
-        return f"ComplexScalar({self.v})"
 
-
-class RationalScalar(Scalar):
+class RationalScalar(_Number):
     """Exact rational scalar; the oracle backend for commutative suites."""
 
-    __slots__ = ("v",)
+    __slots__ = ()
 
     def __init__(self, v, den=None):
         object.__setattr__(self, "v", Fraction(v) if den is None else Fraction(v, den))
 
-    def __setattr__(self, *a):
-        raise AttributeError("RationalScalar is immutable")
-
     @property
     def ring(self):
         return RATIONAL
-
-    def __add__(self, q):
-        if not isinstance(q, RationalScalar):
-            return NotImplemented
-        return RationalScalar(self.v + q.v)
-
-    def __neg__(self):
-        return RationalScalar(-self.v)
-
-    def __mul__(self, q):
-        if not isinstance(q, RationalScalar):
-            q = _coerce(self.ring, q)
-            if q is None:
-                return NotImplemented
-        return RationalScalar(self.v * q.v)
 
     def norm(self):
         return abs(float(self.v))
@@ -438,9 +430,6 @@ class RationalScalar(Scalar):
 
     def __hash__(self):
         return hash(self.v)
-
-    def __repr__(self):
-        return f"RationalScalar({self.v})"
 
 
 # ---------------------------------------------------------------------------
@@ -552,26 +541,20 @@ class RationalRing(Ring):
 QUATERNION = QuaternionRing()
 COMPLEX = ComplexRing()
 RATIONAL = RationalRing()
+_RINGS = {r.name: r for r in (QUATERNION, COMPLEX, RATIONAL)}
 
-_MATRIX_RINGS: dict[int, MatrixRing] = {}
 
-
+@functools.cache
 def matrix_ring(dim: int) -> MatrixRing:
-    if dim not in _MATRIX_RINGS:
-        _MATRIX_RINGS[dim] = MatrixRing(dim)
-    return _MATRIX_RINGS[dim]
+    return MatrixRing(dim)
 
 
 def ring_by_name(name: str, dim: int | None = None) -> Ring:
-    if name == "quaternion":
-        return QUATERNION
-    if name == "complex":
-        return COMPLEX
-    if name == "rational":
-        return RATIONAL
     if name == "matrix":
         return matrix_ring(3 if dim is None else dim)
-    raise ValueError(f"unknown ring {name!r}")
+    if name not in _RINGS:
+        raise ValueError(f"unknown ring {name!r}")
+    return _RINGS[name]
 
 
 def sample(ring: Ring, seed: Seed) -> Scalar:

@@ -135,6 +135,18 @@ def test_verify_text_format(capsys):
     assert "pass          True" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_unwritable_out_exit_2(capsys, tmp_path, fmt):
+    code = main(["verify", "--suite", "leapfrog", "--ring", "rational",
+                 "--trials", "5", "--format", fmt,
+                 "--out", str(tmp_path / "missing" / "rep.json")])
+    assert code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("cannot write output: ")
+    assert "Traceback" not in cap.err
+
+
 def test_verify_fail_exit_1(capsys):
     # an impossible tolerance forces failures
     code = main(["verify", "--suite", "crossratio-cocycles",

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import numpy as np
@@ -130,6 +131,11 @@ def test_scalar_number_coercion():
 def test_mixed_ring_arithmetic_rejected():
     with pytest.raises((DimensionMismatch, TypeError)):
         Quaternion(1) + MatScalar([[1.0]])
+    c, r = ComplexScalar(1), RationalScalar(1)
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((c, r), (r, c)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 def test_quaternion_inv_refuses_nan():
@@ -153,6 +159,42 @@ def test_quaternion_sub_is_add_neg():
             parts = [(d.w, e.w), (d.x, e.x), (d.y, e.y), (d.z, e.z)]
             assert all(u == v and math.copysign(1, u) == math.copysign(1, v)
                        for u, v in parts)
+
+
+def test_number_sub_is_add_neg():
+    zeros = [complex(u, v) for u in (0.0, -0.0) for v in (0.0, -0.0)]
+    for a in zeros + [sample(COMPLEX, Seed(3, 0)).v]:
+        for b in zeros + [sample(COMPLEX, Seed(3, 1)).v]:
+            d = (ComplexScalar(a) - ComplexScalar(b)).v
+            e = (ComplexScalar(a) + (-ComplexScalar(b))).v
+            assert all(u == v and math.copysign(1, u) == math.copysign(1, v)
+                       for u, v in ((d.real, e.real), (d.imag, e.imag)))
+    r, s = sample(RATIONAL, Seed(3, 0)), sample(RATIONAL, Seed(3, 1))
+    for a, b in ((r, s), (s, r), (r, r)):
+        d = a - b
+        assert type(d) is RationalScalar and d == a + (-b)
+
+
+#: one slot of each scalar class
+_SLOT = {Quaternion: "w", MatScalar: "a", ComplexScalar: "v",
+         RationalScalar: "v"}
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_scalars_have_no_dict_and_refuse_new_attributes(ring):
+    a, b = sample(ring, Seed(6, 0)), sample(ring, Seed(6, 1))
+    for r in (a, b, a + b, a - b, -a, a * b, 2 * a, a.inv(), ring.one,
+              scalar_from_json(scalar_to_json(a))):
+        name = type(r).__name__
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            r.foo = 1
+        with pytest.raises(AttributeError):
+            object.__setattr__(r, "foo", 1)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(r, _SLOT[type(r)], getattr(r, _SLOT[type(r)]))
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(r, _SLOT[type(r)])
 
 
 def test_quaternion_results_are_plain_floats_and_immutable():
@@ -413,6 +455,21 @@ def test_quaternion_inv_and_norm_finite_path_unchanged():
         assert (r.w, r.x, r.y, r.z) == (q.w / n2, -q.x / n2, -q.y / n2,
                                         -q.z / n2)
         assert q.norm() == math.sqrt(n2)
+        # the same draw scaled below the squared range takes hypot's path
+        parts = (q.w * 1e-160, q.x * 1e-160, q.y * 1e-160, q.z * 1e-160)
+        assert Quaternion(*parts).norm() == math.hypot(*parts)
+
+
+@pytest.mark.parametrize("q, norm", [
+    (Quaternion(0.0, 0.0, 2.9e-309, -2.9e-309), math.hypot(2.9e-309,
+                                                           2.9e-309)),
+    (Quaternion(0.0, 0.0, 1e-160, 0.0), 1e-160),
+    (Quaternion(-3e-200, 4e-200, 0.0, 0.0), 5e-200),
+    (Quaternion(5e-324, 0.0, 0.0, 0.0), 5e-324),
+])
+def test_quaternion_norm_below_squared_range(q, norm):
+    assert math.isclose(q.norm(), norm, rel_tol=1e-15)
+    assert not q.is_zero(tol=0.0)
 
 
 @pytest.mark.parametrize("q", [
