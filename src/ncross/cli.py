@@ -10,13 +10,14 @@ Exit codes: 0 all pass, 1 failures or operation errors, 2 usage/parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
 from .crossratio import PolarizationQuad, cross_ratio, dv
 from .errors import DimensionMismatch, NCError
-from .geometry import Point2, collinear
+from .geometry import collinear
 from .jets import Jet
 from .linalg import RingMatrix, quasidet
 from .pentagram import (Pentad, classical_pentagram, leapfrog_compatible,
@@ -52,16 +53,8 @@ def _dump(obj) -> str:
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
-def _emit(obj, out_path=None):
-    _write(_dump(obj) + "\n", out_path)
-
-
-def _write(text, out_path=None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(obj, fh=None):
+    (fh or sys.stdout).write(_dump(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +63,6 @@ def _write(text, out_path=None):
 
 def _vec2(obj) -> Vec2:
     return Vec2(scalar_from_json(obj["x1"]), scalar_from_json(obj["x2"]))
-
-
-def _point(obj) -> Point2:
-    return Point2(scalar_from_json(obj["x1"]), scalar_from_json(obj["x2"]))
 
 
 def _matrix(obj) -> RingMatrix:
@@ -137,7 +126,7 @@ def _op_dv(data):
 
 
 def _op_collinear(data):
-    pts = [_point(p) for p in data["points"]]
+    pts = [_vec2(p) for p in data["points"]]
     if len(pts) != 3:
         raise ValueError("collinear needs exactly 3 points")
     return {"collinear": collinear(*pts)}
@@ -191,12 +180,16 @@ def _cmd_verify(args) -> int:
     cfg = SuiteConfig(suite=args.suite, ring=args.ring, dim=args.dim,
                       trials=args.trials, seed=args.seed, tol=args.tol,
                       skip_policy=args.skip_policy)
-    report = run_suite(cfg, workers=args.workers)
     try:
-        if args.format == "json":
-            _emit(report.to_json(), args.out)
-        else:
-            _write(_text_report(report), args.out)
+        # like shell redirection, --out is created or truncated before the
+        # run, so an unwritable path fails before any trial is computed
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            report = run_suite(cfg, workers=args.workers)
+            if args.format == "json":
+                _emit(report.to_json(), fh)
+            else:
+                fh.write(_text_report(report))
     except OSError as e:
         print(f"cannot write output: {e}", file=sys.stderr)
         return 2

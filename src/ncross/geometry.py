@@ -1,9 +1,9 @@
 """Affine incidence geometry over a noncommutative ring.
 
-Points are pairs (x1, x2) of ring scalars forming a right module: a point
-times a scalar multiplies both coordinates on the right.  Collinearity is
-decided by a boxed 3x3 quasideterminant and cross-checked against the
-ratio criterion (y1-x1)^-1(z1-x1) = (y2-x2)^-1(z2-x2)."""
+Points are ``Vec2`` pairs (x1, x2) of ring scalars forming a right
+module: a point times a scalar multiplies both coordinates on the right.
+Collinearity is decided by a boxed 3x3 quasideterminant and cross-checked
+against the ratio criterion (y1-x1)^-1(z1-x1) = (y2-x2)^-1(z2-x2)."""
 
 from __future__ import annotations
 
@@ -16,28 +16,7 @@ from .plucker import Vec2, qp_left
 from .scalars import DEFAULT_ATOL, Scalar
 
 
-class Point2(NamedTuple):
-    x1: Scalar
-    x2: Scalar
-
-    @property
-    def ring(self):
-        return self.x1.ring
-
-    def __add__(self, other):
-        return Point2(self.x1 + other.x1, self.x2 + other.x2)
-
-    def scale(self, t: Scalar) -> "Point2":
-        return Point2(self.x1 * t, self.x2 * t)
-
-
-def as_point(p) -> Point2:
-    if isinstance(p, Point2):
-        return p
-    return Point2(p[0], p[1])
-
-
-def incidence_matrix(x: Point2, y: Point2, z: Point2) -> RingMatrix:
+def incidence_matrix(x: Vec2, y: Vec2, z: Vec2) -> RingMatrix:
     one = x.ring.one
     return RingMatrix([
         [x.x1, y.x1, z.x1],
@@ -46,9 +25,9 @@ def incidence_matrix(x: Point2, y: Point2, z: Point2) -> RingMatrix:
     ])
 
 
-def collinear_defect(x: Point2, y: Point2, z: Point2) -> Scalar:
+def collinear_defect(x: Vec2, y: Vec2, z: Vec2) -> Scalar:
     """Boxed quasideterminant of the incidence matrix; zero iff collinear."""
-    return quasidet(incidence_matrix(as_point(x), as_point(y), as_point(z)), 2, 2)
+    return quasidet(incidence_matrix(x, y, z), 2, 2)
 
 
 def collinear(x, y, z, tol: float = DEFAULT_ATOL) -> bool:
@@ -57,7 +36,6 @@ def collinear(x, y, z, tol: float = DEFAULT_ATOL) -> bool:
     Requires x, y in generic position (their 2x2 coordinate matrix
     invertible).  Evaluates both the boxed quasideterminant and the ratio
     criterion; a disagreement between the two raises PairMismatch."""
-    x, y, z = as_point(x), as_point(y), as_point(z)
     m2 = RingMatrix([[x.x1, y.x1], [x.x2, y.x2]])
     try:
         m2_inv_ok = quasidet(m2, 0, 0)
@@ -105,8 +83,6 @@ def menelaus_commutative(a, b, c, d, e, f, tol: float = DEFAULT_ATOL) -> Scalar:
     """(a-f)^-1(b-f) (c-e)^-1(a-e) (b-d)^-1(c-d), per coordinate, for
     F on line AB, E on line CA, D on line BC.  Equals 1 exactly when
     D, E, F are collinear (Menelaus)."""
-    pts = [as_point(p) for p in (a, b, c, d, e, f)]
-    a, b, c, d, e, f = pts
     return _coord_word(((a, f, b), (c, e, a), (b, d, c)), tol)
 
 
@@ -114,8 +90,6 @@ def ceva_commutative(a, b, c, d, e, f, tol: float = DEFAULT_ATOL) -> Scalar:
     """(e-a)^-1(e-c) (f-b)^-1(f-a) (d-c)^-1(d-b), per coordinate, for
     D on BC, E on CA, F on AB.  Equals -1 iff the cevians AD, BE, CF are
     concurrent."""
-    pts = [as_point(p) for p in (a, b, c, d, e, f)]
-    a, b, c, d, e, f = pts
     # (e-a)^-1(e-c) = (a-e)^-1(c-e), and likewise for the other factors
     return _coord_word(((a, e, c), (b, f, a), (c, d, b)), tol)
 
@@ -128,18 +102,14 @@ class Barycentric(NamedTuple):
 
 def barycentric(p, a, b, c, tol: float = DEFAULT_ATOL) -> Barycentric:
     """Right-module weights: p = a*t + b*u + c*v with t + u + v = 1."""
-    p, a, b, c = as_point(p), as_point(a), as_point(b), as_point(c)
-    one = a.ring.one
-    m = RingMatrix([[a.x1, b.x1, c.x1], [a.x2, b.x2, c.x2], [one, one, one]])
     try:
-        t, u, v = solve_left(m, [p.x1, p.x2, one])
+        t, u, v = solve_left(incidence_matrix(a, b, c), [p.x1, p.x2, a.ring.one])
     except UndefinedExpression as e:
         raise CollinearFrame(f"reference triangle degenerate: {e}") from e
     return Barycentric(t, u, v)
 
 
-def barycentric_reconstruct(w: Barycentric, a, b, c) -> Point2:
-    a, b, c = as_point(a), as_point(b), as_point(c)
+def barycentric_reconstruct(w: Barycentric, a, b, c) -> Vec2:
     return a.scale(w.t) + b.scale(w.u) + c.scale(w.v)
 
 
@@ -173,9 +143,8 @@ def barycentric_collinear(w1, w2, w3, frame=None, tol: float = DEFAULT_ATOL) -> 
     return barycentric_collinear_report(w1, w2, w3, frame, tol).verdict
 
 
-def segment_point(u, v, t: Scalar) -> Point2:
+def segment_point(u, v, t: Scalar) -> Vec2:
     """u(1-t) + v t, the parameter acting on the right."""
-    u, v = as_point(u), as_point(v)
     one = t.ring.one
     return u.scale(one - t) + v.scale(t)
 
@@ -187,7 +156,7 @@ class MenelausNCReport(NamedTuple):
     identity_residual: float  # |t(1-t)^-1 + q^P_CB|
 
 
-def _qp_affine(u: Point2, v: Point2, w: Point2, tol: float) -> Scalar:
+def _qp_affine(u: Vec2, v: Vec2, w: Vec2, tol: float) -> Scalar:
     """Left quasi-Pluecker q^w_uv of the per-coordinate lifts (value, 1);
     the two coordinates must agree when w is on line uv."""
     one = u.ring.one
@@ -203,7 +172,6 @@ def menelaus_nc(a, b, c, t: Scalar, u: Scalar, v: Scalar,
     R = A(1-v)+Bv; the product q^Q_AC q^P_CB q^R_BA equals 1 iff P, Q, R
     are collinear, and the parameter form u(1-u)^-1 t(1-t)^-1 v(1-v)^-1
     equals -1 in that case."""
-    a, b, c = as_point(a), as_point(b), as_point(c)
     one = t.ring.one
     p = segment_point(b, c, t)
     q = segment_point(c, a, u)
@@ -231,10 +199,9 @@ def konopelchenko(f1, f2, f3, f12: Scalar, f23: Scalar, f31: Scalar,
     """Lattice-triangle angle condition: theta = f12^-1 + f23^-1 + f31^-1
     vanishes iff the derived points F_ij = ((xj-xi)f_ij, (yj-yi)f_ij) are
     collinear."""
-    f1, f2, f3 = as_point(f1), as_point(f2), as_point(f3)
 
-    def derived(pi: Point2, pj: Point2, fij: Scalar) -> Point2:
-        return Point2((pj.x1 - pi.x1) * fij, (pj.x2 - pi.x2) * fij)
+    def derived(pi: Vec2, pj: Vec2, fij: Scalar) -> Vec2:
+        return Vec2((pj.x1 - pi.x1) * fij, (pj.x2 - pi.x2) * fij)
 
     p12 = derived(f1, f2, f12)
     p23 = derived(f2, f3, f23)

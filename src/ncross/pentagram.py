@@ -48,15 +48,16 @@ class Pentad(NamedTuple):
         return self.v1.ring
 
 
+def _neg_kappa(p: Pentad, a: int, b: int, c: int, d: int, tol: float) -> Scalar:
+    """Minus the cross-ratio of the vectors with 1-based labels a, b, c, d."""
+    return -cross_ratio(p[a - 1], p[b - 1], p[c - 1], p[d - 1], tol)
+
+
 def pentagram_invariants(p: Pentad, tol: float = DEFAULT_ATOL) -> tuple:
     """x_1 ... x_5, each minus a cross-ratio of four of the five vectors."""
-    v = list(p)
-
-    def k(a, b, c, d):
-        return -cross_ratio(v[a - 1], v[b - 1], v[c - 1], v[d - 1], tol)
-
-    return (k(1, 2, 3, 4), k(5, 2, 3, 1), k(5, 4, 2, 1),
-            k(3, 4, 2, 5), k(3, 1, 4, 5))
+    return tuple(_neg_kappa(p, *labels, tol) for labels in
+                 ((1, 2, 3, 4), (5, 2, 3, 1), (5, 4, 2, 1),
+                  (3, 4, 2, 5), (3, 1, 4, 5)))
 
 
 class PentagramRelations(NamedTuple):
@@ -80,14 +81,10 @@ def pentagram_relations_check(p: Pentad, tol: float = DEFAULT_ATOL) -> Pentagram
         return qp_left(v, i - 1, j - 1, k - 1, tol)
 
     x = list(pentagram_invariants(p, tol))
-
-    def kk(a, b, c, d):
-        return -cross_ratio(v[a - 1], v[b - 1], v[c - 1], v[d - 1], tol)
-
     # continuation by the double-swap anti-involution
-    x6, x7 = kk(2, 1, 4, 3), kk(2, 5, 1, 3)
+    x6, x7 = _neg_kappa(p, 2, 1, 4, 3, tol), _neg_kappa(p, 2, 5, 1, 3, tol)
     # continuation by swapping only the first pair (the inverse values)
-    x6s, x7s = kk(2, 1, 3, 4), kk(2, 5, 3, 1)
+    x6s, x7s = _neg_kappa(p, 2, 1, 3, 4, tol), _neg_kappa(p, 2, 5, 3, 1, tol)
 
     def rels(a6, a7):
         xx = x + [a6, a7]

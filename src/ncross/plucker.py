@@ -9,53 +9,41 @@ doubles as a cheap numerical health monitor.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import RowFormMismatch, agreed
 from .scalars import DEFAULT_ATOL, Scalar
 
 
-class Vec2:
-    """Column vector with two ring entries."""
+class Vec2(NamedTuple):
+    """Two ring entries: a column of a 2 x n matrix and an affine point
+    (x1, x2) alike.  Points form a right module: ``v.scale(t)`` multiplies
+    both entries on the right; ``u + v`` adds pointwise."""
 
-    __slots__ = ("x1", "x2")
-
-    def __init__(self, x1: Scalar, x2: Scalar):
-        self.x1 = x1
-        self.x2 = x2
-
-    def __getitem__(self, i):
-        return (self.x1, self.x2)[i]
-
-    def __len__(self):
-        return 2
-
-    def __iter__(self):
-        return iter((self.x1, self.x2))
+    x1: Scalar
+    x2: Scalar
 
     @property
     def ring(self):
         return self.x1.ring
 
-    def __repr__(self):
-        return f"Vec2({self.x1!r}, {self.x2!r})"
+    def __add__(self, other):
+        return Vec2(self.x1 + other.x1, self.x2 + other.x2)
 
-
-def _col(columns, j):
-    c = columns[j]
-    return c[0], c[1]
+    def scale(self, t: Scalar) -> "Vec2":
+        return Vec2(self.x1 * t, self.x2 * t)
 
 
 def qp_left(columns: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL) -> Scalar:
     """Left quasi-Plucker coordinate q^k_ij of a 2 x n column family.
 
-    ``columns`` is any sequence of Vec2-like pairs; indices are 0-based.
+    ``columns`` is any sequence of two-entry columns; indices are 0-based.
     i == j and j == k are legal (values 1 and 0); i == k is not."""
     if i == k:
         raise ValueError("qp_left requires i != k")
-    a1i, a2i = _col(columns, i)
-    a1j, a2j = _col(columns, j)
-    a1k, a2k = _col(columns, k)
+    a1i, a2i = columns[i]
+    a1j, a2j = columns[j]
+    a1k, a2k = columns[k]
 
     def form(top_i, bot_i, top_j, bot_j, top_k, bot_k):
         # boxed entries in the top row of the two 2x2 quasideterminants
@@ -94,6 +82,6 @@ def qp_right(rows: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL) 
 
 def plucker_minor(columns, i: int, k: int) -> Scalar:
     """Commutative Plucker coordinate p_ik = a_1i a_2k - a_1k a_2i."""
-    a1i, a2i = _col(columns, i)
-    a1k, a2k = _col(columns, k)
+    a1i, a2i = columns[i]
+    a1k, a2k = columns[k]
     return a1i * a2k - a1k * a2i

@@ -344,8 +344,9 @@ def _eye(d):
 
 
 class _Number(Scalar):
-    """A scalar whose value is one Python number ``v``; arithmetic stays
-    within the concrete class, so two such rings never mix."""
+    """A scalar whose value is one Python number ``v``; arithmetic and
+    ``==`` (by value) stay within the concrete class, so two such rings
+    never mix."""
 
     __slots__ = ("v",)
 
@@ -368,6 +369,12 @@ class _Number(Scalar):
             if q is None:
                 return NotImplemented
         return type(self)(self.v * q.v)
+
+    def __eq__(self, q):
+        return isinstance(q, type(self)) and self.v == q.v
+
+    def __hash__(self):
+        return hash(self.v)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.v})"
@@ -424,12 +431,6 @@ class RationalScalar(_Number):
         if self.v == 0:
             raise NotInvertible("division by exact zero")
         return RationalScalar(1 / self.v)
-
-    def __eq__(self, q):
-        return isinstance(q, RationalScalar) and self.v == q.v
-
-    def __hash__(self):
-        return hash(self.v)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,6 @@ class Draw:
     def vec2(self) -> Vec2:
         return Vec2(self.scalar(), self.scalar())
 
-    def point(self) -> geometry.Point2:
-        return geometry.Point2(self.scalar(), self.scalar())
-
     def jet(self, order: int) -> Jet:
         return Jet([self.scalar() for _ in range(order + 1)])
 
@@ -281,24 +278,24 @@ def _t_dv_cocycle(d: Draw, tol: float) -> float:
 def _t_geometry_collinear(d: Draw, tol: float) -> float:
     ring = d.ring
     one = ring.one
-    a, b = d.point(), d.point()
+    a, b = d.vec2(), d.vec2()
     lam = d.scalar()
     z = geometry.segment_point(a, b, lam)
     res = []
     res.append(0.0 if geometry.collinear(a, b, z, tol=1e-7) else 1.0)
-    w = d.point()
+    w = d.vec2()
     res.append(1.0 if geometry.collinear(a, b, w, tol=1e-7) else 0.0)
     # the two criteria agree through collinear() already; also check the
     # raw quasideterminant defect on the constructed point
     res.append(geometry.collinear_defect(a, b, z).norm())
     # barycentric roundtrip
-    c = d.point()
+    c = d.vec2()
     wts = geometry.barycentric(w, a, b, c, tol)
     rec = geometry.barycentric_reconstruct(wts, a, b, c)
     res.append((rec.x1 - w.x1).norm() + (rec.x2 - w.x2).norm())
     res.append((wts.t + wts.u + wts.v - one).norm())
     # weight-space collinearity matches point collinearity
-    u, v = d.point(), d.point()
+    u, v = d.vec2(), d.vec2()
     on_line = [geometry.segment_point(u, v, d.scalar()) for _ in range(3)]
     ws = [geometry.barycentric(p, a, b, c, tol) for p in on_line]
     r1 = geometry.barycentric_collinear_report(*ws, frame=(a, b, c), tol=1e-7)
@@ -309,17 +306,24 @@ def _t_geometry_collinear(d: Draw, tol: float) -> float:
     return _mx(*res)
 
 
+def _meet_param(p1: Vec2, p2: Vec2, p3: Vec2, p4: Vec2) -> Scalar:
+    """The parameter s at which line p1p2, as p1 + (p2 - p1)s, meets line
+    p3p4."""
+    m = RingMatrix([[p2.x1 - p1.x1, -(p4.x1 - p3.x1)],
+                    [p2.x2 - p1.x2, -(p4.x2 - p3.x2)]])
+    s, _ = solve_left(m, [p3.x1 - p1.x1, p3.x2 - p1.x2])
+    return s
+
+
 def _t_menelaus(d: Draw, tol: float) -> float:
     ring = d.ring
     one = ring.one
-    a, b, c = d.point(), d.point(), d.point()
+    a, b, c = d.vec2(), d.vec2(), d.vec2()
     t_, u_ = d.scalar(), d.scalar()
     p = geometry.segment_point(b, c, t_)
     q = geometry.segment_point(c, a, u_)
     # choose v so that R = A(1-v)+Bv lands on line PQ
-    m = RingMatrix([[b.x1 - a.x1, -(q.x1 - p.x1)],
-                    [b.x2 - a.x2, -(q.x2 - p.x2)]])
-    v_, _s = solve_left(m, [p.x1 - a.x1, p.x2 - a.x2])
+    v_ = _meet_param(a, b, p, q)
     rep = geometry.menelaus_nc(a, b, c, t_, u_, v_, tol)
     res = [rep.residual, (rep.parameter_form + one).norm(), rep.identity_residual]
     if ring.commutative:
@@ -333,23 +337,17 @@ def _t_menelaus(d: Draw, tol: float) -> float:
 
 
 def _t_ceva(d: Draw, tol: float) -> float:
-    if not d.ring.commutative:
-        raise UnsupportedRingForSuite("ceva suite runs on commutative rings")
     one = d.ring.one
-    a, b, c = d.point(), d.point(), d.point()
+    a, b, c = d.vec2(), d.vec2(), d.vec2()
     # cevians through an interior point p: feet are line intersections
     wt, wu = d.scalar(), d.scalar()
-    p = geometry.Point2(
-        a.x1 + (b.x1 - a.x1) * wt + (c.x1 - a.x1) * wu,
-        a.x2 + (b.x2 - a.x2) * wt + (c.x2 - a.x2) * wu)
+    p = Vec2(a.x1 + (b.x1 - a.x1) * wt + (c.x1 - a.x1) * wu,
+             a.x2 + (b.x2 - a.x2) * wt + (c.x2 - a.x2) * wu)
 
     def meet(p1, p2, p3, p4):
         # line p1p2 with line p3p4
-        m = RingMatrix([[p2.x1 - p1.x1, -(p4.x1 - p3.x1)],
-                        [p2.x2 - p1.x2, -(p4.x2 - p3.x2)]])
-        s, _ = solve_left(m, [p3.x1 - p1.x1, p3.x2 - p1.x2])
-        return geometry.Point2(p1.x1 + (p2.x1 - p1.x1) * s,
-                               p1.x2 + (p2.x2 - p1.x2) * s)
+        s = _meet_param(p1, p2, p3, p4)
+        return Vec2(p1.x1 + (p2.x1 - p1.x1) * s, p1.x2 + (p2.x2 - p1.x2) * s)
 
     dd = meet(a, p, b, c)
     e = meet(b, p, c, a)
@@ -365,7 +363,7 @@ def _t_ceva(d: Draw, tol: float) -> float:
 
 
 def _t_konopelchenko(d: Draw, tol: float) -> float:
-    f1, f2, f3 = d.point(), d.point(), d.point()
+    f1, f2, f3 = d.vec2(), d.vec2(), d.vec2()
     f12, f23 = d.scalar(), d.scalar()
     f31 = -((f12.inv() + f23.inv()).inv())
     rep = geometry.konopelchenko(f1, f2, f3, f12, f23, f31, tol=1e-7)
@@ -391,10 +389,17 @@ def _t_schwarzian_expansion(d: Draw, tol: float) -> float:
     return max(0.0, 2.9 - slope)
 
 
-def _t_ode_roundtrip(d: Draw, tol: float) -> float:
+def _ode_pair(d: Draw):
+    """Coefficient jets a, b of f'' + a f' + b f = 0 and two solutions
+    f1, f2 propagated from drawn initial values."""
     a, b = d.jet(4), d.jet(4)
     f1 = schwarzian.propagate_left(a, b, d.scalar(), d.scalar(), 6)
     f2 = schwarzian.propagate_left(a, b, d.scalar(), d.scalar(), 6)
+    return a, b, f1, f2
+
+
+def _t_ode_roundtrip(d: Draw, tol: float) -> float:
+    a, b, f1, f2 = _ode_pair(d)
     ar, br = schwarzian.recover_ode_coeffs(f1, f2, tol)
     res = [(ar - a[0]).norm(), (br - b[0]).norm()]
     # internal identity: -b = a f' f^-1 + f'' f^-1 for both solutions
@@ -410,9 +415,7 @@ def _t_ode_roundtrip(d: Draw, tol: float) -> float:
 
 
 def _t_gauge_theorem(d: Draw, tol: float) -> float:
-    a, b = d.jet(4), d.jet(4)
-    f1 = schwarzian.propagate_left(a, b, d.scalar(), d.scalar(), 6)
-    f2 = schwarzian.propagate_left(a, b, d.scalar(), d.scalar(), 6)
+    a, b, f1, f2 = _ode_pair(d)
     rep = schwarzian.gauge_theorem_check(f1, f2, a, b, tol)
     res = [rep.a_tilde_residual, rep.prop_residual,
            (rep.b_candidate_square - rep.b_direct).norm()
@@ -454,9 +457,6 @@ def _t_ceva_infinitesimal(d: Draw, tol: float) -> float:
 
 
 def _t_pentagram_classical(d: Draw, tol: float) -> float:
-    if not d.ring.commutative:
-        raise UnsupportedRingForSuite(
-            "pentagram-classical requires a commutative ring")
     one = d.ring.one
     pts = [d.scalar() for _ in range(5)]
     y, resids = pentagram.classical_pentagram(pts)

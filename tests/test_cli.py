@@ -1,14 +1,16 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ncross import suites
 from ncross.cli import OPS, _dump, main
 from ncross.crossratio import PolarizationQuad, cross_ratio, dv
-from ncross.geometry import Point2, collinear
+from ncross.geometry import collinear
 from ncross.jets import Jet
 from ncross.linalg import RingMatrix, quasidet
 from ncross.pentagram import (Pentad, classical_pentagram, leapfrog_compatible,
@@ -147,6 +149,28 @@ def test_verify_unwritable_out_exit_2(capsys, tmp_path, fmt):
     assert "Traceback" not in cap.err
 
 
+def test_verify_unwritable_out_runs_no_trial(capsys, tmp_path, monkeypatch):
+    spec = suites.SUITES["leapfrog"]
+    calls = []
+
+    def counted(d, tol):
+        calls.append(d.trial)
+        return spec.trial(d, tol)
+
+    monkeypatch.setitem(suites.SUITES, "leapfrog",
+                        dataclasses.replace(spec, trial=counted))
+    code = main(["verify", "--suite", "leapfrog", "--ring", "rational",
+                 "--trials", "5",
+                 "--out", str(tmp_path / "missing" / "rep.json")])
+    assert code == 2 and calls == []
+    assert capsys.readouterr().out == ""
+    # the same patched body runs every trial when the path is writable
+    assert main(["verify", "--suite", "leapfrog", "--ring", "rational",
+                 "--trials", "5", "--out", str(tmp_path / "rep.json")]) == 0
+    assert calls == list(range(5))
+    assert json.loads((tmp_path / "rep.json").read_text())["trials_run"] == 5
+
+
 def test_verify_fail_exit_1(capsys):
     # an impossible tolerance forces failures
     code = main(["verify", "--suite", "crossratio-cocycles",
@@ -255,7 +279,7 @@ def _case_dv():
 
 def _case_collinear():
     s = qs(6)
-    pts = [Point2(s[2 * k], s[2 * k + 1]) for k in range(3)]
+    pts = [Vec2(s[2 * k], s[2 * k + 1]) for k in range(3)]
     return ({"points": [pair(p.x1, p.x2) for p in pts]},
             {"collinear": collinear(*pts)})
 

@@ -3,19 +3,20 @@ from fractions import Fraction
 import pytest
 
 from ncross.errors import UndefinedExpression
-from ncross.geometry import (Point2, barycentric, barycentric_collinear,
+from ncross.geometry import (barycentric, barycentric_collinear,
                              barycentric_reconstruct, ceva_commutative,
                              collinear, collinear_defect, konopelchenko,
                              menelaus_commutative, menelaus_nc, segment_point)
+from ncross.plucker import Vec2
 from ncross.scalars import (QUATERNION, RATIONAL, RationalScalar, Seed, sample)
 
 
 def rp(a, b):
-    return Point2(RationalScalar(Fraction(a)), RationalScalar(Fraction(b)))
+    return Vec2(RationalScalar(Fraction(a)), RationalScalar(Fraction(b)))
 
 
 def qp(seed, k):
-    return Point2(sample(QUATERNION, Seed(seed, 2 * k)),
+    return Vec2(sample(QUATERNION, Seed(seed, 2 * k)),
                   sample(QUATERNION, Seed(seed, 2 * k + 1)))
 
 
@@ -28,7 +29,7 @@ def test_collinear_quaternion_construction():
     x, y = qp(1, 0), qp(1, 1)
     lam = sample(QUATERNION, Seed(2, 0))
     one = QUATERNION.one
-    z = Point2(x.x1 * lam + y.x1 * (one - lam), x.x2 * lam + y.x2 * (one - lam))
+    z = Vec2(x.x1 * lam + y.x1 * (one - lam), x.x2 * lam + y.x2 * (one - lam))
     assert collinear(x, y, z, tol=1e-8)
     assert collinear_defect(x, y, z).norm() < 1e-10
 
@@ -135,3 +136,18 @@ def test_segment_point_endpoints():
     zero, one = RATIONAL.zero, RATIONAL.one
     assert segment_point(u, v, zero).x1.approx_eq(u.x1)
     assert segment_point(u, v, one).x2.approx_eq(v.x2)
+
+
+def test_one_pair_type_for_columns_and_points():
+    u, v = rp(1, 2), rp(5, 6)
+    with pytest.raises(AttributeError):
+        u.x1 = RATIONAL.one
+    assert u + v == rp(6, 8)
+    assert u.scale(RationalScalar(3)) == rp(3, 6)
+    assert type(segment_point(u, v, RationalScalar(Fraction(1, 4)))) is Vec2
+    a, b, c = rp(0, 0), rp(4, 0), rp(0, 4)
+    rec = barycentric_reconstruct(barycentric(rp(1, 2), a, b, c), a, b, c)
+    assert type(rec) is Vec2 and rec == rp(1, 2)
+    one = RATIONAL.one
+    rep = konopelchenko(a, b, c, one, one, RationalScalar(Fraction(-1, 2)))
+    assert all(type(p) is Vec2 for p in rep.derived_points)

@@ -165,14 +165,35 @@ def test_number_sub_is_add_neg():
     zeros = [complex(u, v) for u in (0.0, -0.0) for v in (0.0, -0.0)]
     for a in zeros + [sample(COMPLEX, Seed(3, 0)).v]:
         for b in zeros + [sample(COMPLEX, Seed(3, 1)).v]:
-            d = (ComplexScalar(a) - ComplexScalar(b)).v
-            e = (ComplexScalar(a) + (-ComplexScalar(b))).v
-            assert all(u == v and math.copysign(1, u) == math.copysign(1, v)
-                       for u, v in ((d.real, e.real), (d.imag, e.imag)))
+            d = ComplexScalar(a) - ComplexScalar(b)
+            e = ComplexScalar(a) + (-ComplexScalar(b))
+            # == cannot tell signed zeros apart; compare their signs too
+            assert d == e and all(
+                math.copysign(1, u) == math.copysign(1, v)
+                for u, v in ((d.v.real, e.v.real), (d.v.imag, e.v.imag)))
     r, s = sample(RATIONAL, Seed(3, 0)), sample(RATIONAL, Seed(3, 1))
     for a, b in ((r, s), (s, r), (r, r)):
         d = a - b
         assert type(d) is RationalScalar and d == a + (-b)
+
+
+@pytest.mark.parametrize("ring", [COMPLEX, RATIONAL], ids=lambda r: r.name)
+def test_number_equality_is_by_value(ring):
+    a, b = sample(ring, Seed(9, 0)), sample(ring, Seed(9, 1))
+    for x in (a, b, a * b, ring.one):
+        twin = type(x)(x.v)
+        assert twin is not x and twin == x and not twin != x
+        assert hash(twin) == hash(x)
+        assert scalar_from_json(scalar_to_json(x)) == x
+    assert a != b and a + b == b + a
+    assert len({a, type(a)(a.v), b}) == 2
+
+
+def test_complex_and_rational_never_equal():
+    c, r = ComplexScalar(1), RationalScalar(1)
+    assert c == ComplexScalar(1.0) and r == RationalScalar(1)
+    assert c != r and r != c and not c == r
+    assert c != 1 and r != 1
 
 
 #: one slot of each scalar class
