@@ -19,11 +19,11 @@ from .crossratio import PolarizationQuad, cross_ratio, dv
 from .errors import DimensionMismatch, NCError
 from .geometry import collinear
 from .jets import Jet
-from .linalg import RingMatrix, quasidet
+from .linalg import quasidet
 from .pentagram import (Pentad, classical_pentagram, leapfrog_compatible,
                         pentagram_relations_check)
 from .plucker import Vec2, qp_left, qp_right
-from .scalars import Scalar, ring_by_name, scalar_from_json, scalar_to_json
+from .scalars import scalar_from_json, scalar_to_json
 from .schwarzian import nc_schwarzian
 from .suites import SuiteConfig, list_suites, run_suite
 
@@ -65,12 +65,20 @@ def _vec2(obj) -> Vec2:
     return Vec2(scalar_from_json(obj["x1"]), scalar_from_json(obj["x2"]))
 
 
-def _matrix(obj) -> RingMatrix:
-    m = RingMatrix([[scalar_from_json(v) for v in row]
-                    for row in obj["entries"]])
-    if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
+def _matrix(obj) -> list[list]:
+    """The rows of a JSON matrix: at least one row, all of one non-zero
+    length, and agreeing with the optional ``rows``/``cols`` fields."""
+    rows = [[scalar_from_json(v) for v in row] for row in obj["entries"]]
+    if not rows:
+        raise DimensionMismatch("empty matrix")
+    cols = len(rows[0])
+    if any(len(r) != cols for r in rows):
+        raise DimensionMismatch("ragged rows")
+    if not cols:
+        raise IndexError("list index out of range")
+    if len(rows) != obj.get("rows", len(rows)) or cols != obj.get("cols", cols):
         raise ValueError("rows/cols fields disagree with entries")
-    return m
+    return rows
 
 
 def _jet(obj) -> Jet:
@@ -104,19 +112,19 @@ def _qp(data, fn, family, n):
 
 
 def _op_qp_left(data):
-    m = _matrix(data["matrix"])
-    if m.rows != 2:
+    rows = _matrix(data["matrix"])
+    if len(rows) != 2:
         raise DimensionMismatch(f"qp_left needs a 2 x n matrix, not "
-                                f"{m.rows} x {m.cols}")
-    return _qp(data, qp_left, [m.column(j) for j in range(m.cols)], m.cols)
+                                f"{len(rows)} x {len(rows[0])}")
+    return _qp(data, qp_left, list(zip(*rows)), len(rows[0]))
 
 
 def _op_qp_right(data):
-    m = _matrix(data["matrix"])
-    if m.cols != 2:
+    rows = _matrix(data["matrix"])
+    if len(rows[0]) != 2:
         raise DimensionMismatch(f"qp_right needs an n x 2 matrix, not "
-                                f"{m.rows} x {m.cols}")
-    return _qp(data, qp_right, m.entries, m.rows)
+                                f"{len(rows)} x {len(rows[0])}")
+    return _qp(data, qp_right, rows, len(rows))
 
 
 def _op_dv(data):

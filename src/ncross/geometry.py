@@ -11,18 +11,19 @@ from typing import NamedTuple, Sequence
 
 from .errors import (DegeneratePair, CollinearFrame, PairMismatch,
                      UndefinedExpression, agreed)
-from .linalg import RingMatrix, quasidet, solve_left
+from .linalg import quasidet, solve_left
 from .plucker import Vec2, qp_left
 from .scalars import DEFAULT_ATOL, Scalar
 
 
-def incidence_matrix(x: Vec2, y: Vec2, z: Vec2) -> RingMatrix:
+def incidence_matrix(x: Vec2, y: Vec2, z: Vec2) -> list[list[Scalar]]:
+    """The rows of the 3x3 matrix whose columns are the lifts (x1, x2, 1)."""
     one = x.ring.one
-    return RingMatrix([
+    return [
         [x.x1, y.x1, z.x1],
         [x.x2, y.x2, z.x2],
         [one, one, one],
-    ])
+    ]
 
 
 def collinear_defect(x: Vec2, y: Vec2, z: Vec2) -> Scalar:
@@ -36,7 +37,7 @@ def collinear(x, y, z, tol: float = DEFAULT_ATOL) -> bool:
     Requires x, y in generic position (their 2x2 coordinate matrix
     invertible).  Evaluates both the boxed quasideterminant and the ratio
     criterion; a disagreement between the two raises PairMismatch."""
-    m2 = RingMatrix([[x.x1, y.x1], [x.x2, y.x2]])
+    m2 = [[x.x1, y.x1], [x.x2, y.x2]]
     try:
         m2_inv_ok = quasidet(m2, 0, 0)
         m2_inv_ok.inv()
@@ -127,7 +128,7 @@ def barycentric_collinear_report(w1: Sequence[Scalar], w2: Sequence[Scalar],
     supplied, fall back to collinear() on the reconstructed points."""
     # columns are the points, rows the weight components; box = third
     # point's first weight
-    m = RingMatrix([list(w1), list(w2), list(w3)]).transpose()
+    m = list(zip(w1, w2, w3))
     try:
         d = quasidet(m, 0, 2)
         scale = 1.0 + max(x.norm() for x in (*w1, *w2, *w3))

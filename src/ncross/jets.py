@@ -44,14 +44,6 @@ class Jet:
         z = value.ring.zero
         return cls((value,) + (z,) * order)
 
-    @classmethod
-    def variable(cls, ring: Ring, order: int = DEFAULT_ORDER) -> "Jet":
-        """The jet of s |-> s at s = 0."""
-        coeffs = [ring.zero] * (order + 1)
-        if order >= 1:
-            coeffs[1] = ring.one
-        return cls(coeffs, ring)
-
     def _match(self, other: "Jet") -> int:
         if len(self) != len(other):
             raise DimensionMismatch(

@@ -47,9 +47,12 @@ RESAMPLE_LIMIT = 1000
 #: below this a sum of squares has lost digits to underflow
 _MIN_NORMAL = sys.float_info.min
 
-#: MatScalar.inv's default refusal thresholds
+#: MatScalar.inv refuses a condition number above INV_COND_MAX or a
+#: residual |a x - 1| above INV_TOL; quaternion and complex inv() refuse a
+#: norm below INV_EPS
 INV_COND_MAX = 1e8
 INV_TOL = 1e-6
+INV_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,14 +158,14 @@ class Quaternion(Scalar):
             return math.hypot(self.w, self.x, self.y, self.z)
         return math.sqrt(n2)
 
-    def inv(self, eps=1e-12):
+    def inv(self):
         try:
             n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
         except OverflowError:
             n2 = math.inf
         if n2 == math.inf:
             return self._inv_scaled()
-        if not math.sqrt(n2) >= eps:  # also refuses NaN
+        if not math.sqrt(n2) >= INV_EPS:  # also refuses NaN
             raise NotInvertible("quaternion norm below threshold")
         return _quat(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
@@ -211,17 +214,15 @@ class MatScalar(Scalar):
     """A d x d matrix used as one noncommutative scalar.
 
     Inversion is guarded: we refuse when the 2-norm condition number
-    exceeds ``cond_max`` or when the residual ``|a x - 1|`` of the computed
-    inverse exceeds ``tol``, since a nearly singular "scalar" would silently
-    destroy identity checks.
+    exceeds ``INV_COND_MAX`` or when the residual ``|a x - 1|`` of the
+    computed inverse exceeds ``INV_TOL``, since a nearly singular "scalar"
+    would silently destroy identity checks.
 
     The scalar owns a read-only copy of its entries, so its inverse is a
-    function of the object: the first ``inv()`` with the default
-    ``cond_max`` and ``tol`` stores its result, and later default calls
-    return that same object.  Calls with other arguments compute afresh
-    and store nothing.  The condition number is computed at most once per
-    object as well; a sampled matrix carries the one its ring's guard
-    computed.  Refusals are not stored."""
+    function of the object: the first ``inv()`` stores its result, and
+    later calls return that same object.  The condition number is computed
+    at most once per object as well; a sampled matrix carries the one its
+    ring's guard computed.  Refusals are not stored."""
 
     __slots__ = ("a", "_inv", "_cond")
 
@@ -272,9 +273,8 @@ class MatScalar(Scalar):
     def norm(self):
         return float(np.linalg.norm(self.a, "fro"))
 
-    def inv(self, cond_max=INV_COND_MAX, tol=INV_TOL):
-        memo = cond_max == INV_COND_MAX and tol == INV_TOL
-        if memo and self._inv is not None:
+    def inv(self):
+        if self._inv is not None:
             return self._inv
         a = self.a
         cond = self._cond
@@ -284,15 +284,14 @@ class MatScalar(Scalar):
             except np.linalg.LinAlgError:
                 raise NotInvertible("condition estimate failed")
             _set_cond(self, cond)
-        if not math.isfinite(cond) or cond > cond_max:
-            raise NotInvertible(f"condition {cond:.3g} exceeds {cond_max:.3g}")
+        if not math.isfinite(cond) or cond > INV_COND_MAX:
+            raise NotInvertible(f"condition {cond:.3g} exceeds {INV_COND_MAX:.3g}")
         x = np.linalg.inv(a)
         resid = np.linalg.norm(a @ x - _eye(a.shape[0]))
-        if resid > tol:
+        if resid > INV_TOL:
             raise NotInvertible(f"solve residual {resid:.3g}")
         r = _mat(x)
-        if memo:
-            _set_inv(self, r)
+        _set_inv(self, r)
         return r
 
     def __repr__(self):
@@ -396,12 +395,12 @@ class ComplexScalar(_Number):
         except OverflowError:  # a finite modulus beyond the float range
             return math.inf
 
-    def inv(self, eps=1e-12):
+    def inv(self):
         try:
             n = abs(self.v)
         except OverflowError:
             n = math.inf
-        if not n >= eps:  # also refuses NaN
+        if not n >= INV_EPS:  # also refuses NaN
             raise NotInvertible("complex scalar too close to zero")
         if n >= 2.0 ** 1023:  # 1.0 / v may overflow inside the division
             v = self.v

@@ -23,7 +23,7 @@ from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
                      QuadratureFailure, UndefinedExpression)
 from .jets import DEFAULT_ORDER, Jet
 from .plucker import qp_right
-from .scalars import DEFAULT_ATOL, Ring, Scalar
+from .scalars import DEFAULT_ATOL, Scalar
 
 
 def nc_schwarzian(z: Jet) -> Scalar:
@@ -35,14 +35,18 @@ def nc_schwarzian(z: Jet) -> Scalar:
     return w * z[3] - Fraction(3, 2) * (u * u)
 
 
+#: expansion_check refuses parameters closer than this
+MIN_GAP = 1e-12
+
+
 class ExpansionCheck(NamedTuple):
     lhs: Scalar
     rhs: Scalar
     residual: float
 
 
-def expansion_check(z: Jet, t: float, t1: float, t2: float, t3: float,
-                    min_gap: float = 1e-12) -> ExpansionCheck:
+def expansion_check(z: Jet, t: float, t1: float, t2: float,
+                    t3: float) -> ExpansionCheck:
     """Compare the four-point cross-ratio of a curve with its second-order
     expansion.
 
@@ -53,8 +57,8 @@ def expansion_check(z: Jet, t: float, t1: float, t2: float, t3: float,
     pts = (t, t1, t2, t3)
     for a in range(4):
         for b in range(a + 1, 4):
-            if abs(pts[a] - pts[b]) < min_gap:
-                raise PointsTooClose(f"parameters {a},{b} closer than {min_gap}")
+            if abs(pts[a] - pts[b]) < MIN_GAP:
+                raise PointsTooClose(f"parameters {a},{b} closer than {MIN_GAP}")
     if z.order < 3:
         raise ValueError("need a jet of order >= 3")
     zv = [z.eval(s) for s in pts]
@@ -127,14 +131,12 @@ def gauge_transform_a(a: Jet, h: Jet) -> Jet:
     return (-2.0) * (h.derivative().truncate(k) * hinv) + hk * a.truncate(k) * hinv
 
 
-def propagate_gauge(a: Jet, order: int | None = None) -> Jet:
-    """h with h' = (1/2) h a and h(0) = 1; this gauge kills the first
-    coefficient of the ODE."""
-    if order is None:
-        order = a.order + 1
+def propagate_gauge(a: Jet) -> Jet:
+    """h with h' = (1/2) h a and h(0) = 1, to one order above a; this
+    gauge kills the first coefficient of the ODE."""
     ring = a.ring
     c = [ring.one]
-    for n in range(order):
+    for n in range(a.order + 1):
         acc = ring.zero
         for k in range(n + 1):
             acc = acc + math.comb(n, k) * (c[k] * a[n - k])

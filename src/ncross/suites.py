@@ -12,7 +12,7 @@ import math
 import numbers
 import time
 from fractions import Fraction
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import crossratio, geometry, pentagram, schwarzian
@@ -20,7 +20,7 @@ from .errors import (DrawBudgetExceeded, NumericalBreakdown,
                      UndefinedExpression, UnknownSuite,
                      UnsupportedRingForSuite)
 from .jets import Jet
-from .linalg import RingMatrix, solve_left
+from .linalg import solve_left
 from .plucker import Vec2, qp_left, qp_right, plucker_minor
 from .scalars import (Ring, Seed, Scalar, conjugate_by, ring_by_name,
                       scalar_to_json, similar)
@@ -309,8 +309,8 @@ def _t_geometry_collinear(d: Draw, tol: float) -> float:
 def _meet_param(p1: Vec2, p2: Vec2, p3: Vec2, p4: Vec2) -> Scalar:
     """The parameter s at which line p1p2, as p1 + (p2 - p1)s, meets line
     p3p4."""
-    m = RingMatrix([[p2.x1 - p1.x1, -(p4.x1 - p3.x1)],
-                    [p2.x2 - p1.x2, -(p4.x2 - p3.x2)]])
+    m = [[p2.x1 - p1.x1, -(p4.x1 - p3.x1)],
+         [p2.x2 - p1.x2, -(p4.x2 - p3.x2)]]
     s, _ = solve_left(m, [p3.x1 - p1.x1, p3.x2 - p1.x2])
     return s
 

@@ -12,7 +12,7 @@ from ncross.cli import OPS, _dump, main
 from ncross.crossratio import PolarizationQuad, cross_ratio, dv
 from ncross.geometry import collinear
 from ncross.jets import Jet
-from ncross.linalg import RingMatrix, quasidet
+from ncross.linalg import quasidet
 from ncross.pentagram import (Pentad, classical_pentagram, leapfrog_compatible,
                               pentagram_relations_check)
 from ncross.plucker import Vec2, qp_left, qp_right
@@ -253,7 +253,7 @@ def _case_cross_ratio():
 def _case_quasidet():
     rows = [qs(9)[3 * r:3 * r + 3] for r in range(3)]
     return ({"matrix": grid(rows), "p": 1, "q": 2},
-            scalar_to_json(quasidet(RingMatrix(rows), 1, 2)))
+            scalar_to_json(quasidet(rows, 1, 2)))
 
 
 def _case_qp_left():
@@ -359,6 +359,27 @@ def test_index_out_of_range_exit_1(capsys, tmp_path, op, payload):
     code, out = compute(capsys, tmp_path, op, payload)
     assert code == 1
     assert json.loads(out)["error"] == "IndexError"
+
+
+_MALFORMED_MATRICES = {
+    "empty": ({"entries": []}, "DimensionMismatch", "empty matrix"),
+    "no-entry-row": ({"entries": [[]]}, "IndexError", "list index out of range"),
+    "ragged": ({"entries": [[rat(1), rat(2)], [rat(3)]]},
+               "DimensionMismatch", "ragged rows"),
+    "fields-disagree": ({"entries": [[rat(1), rat(2)], [rat(3), rat(4)]],
+                         "rows": 3},
+                        "ValueError", "rows/cols fields disagree with entries"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_MATRICES))
+@pytest.mark.parametrize("op", ["quasidet", "qp_left", "qp_right"])
+def test_malformed_matrix_exit_1(capsys, tmp_path, op, name):
+    matrix, error, message = _MALFORMED_MATRICES[name]
+    payload = {"matrix": matrix, "p": 0, "q": 0, "i": 0, "j": 1, "k": 2}
+    code, out = compute(capsys, tmp_path, op, payload)
+    assert code == 1
+    assert json.loads(out) == {"error": error, "message": message}
 
 
 @pytest.mark.parametrize("bad", [

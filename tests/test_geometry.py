@@ -98,15 +98,15 @@ def test_barycentric_collinear_detects_lines():
 
 def test_menelaus_nc_collinear_product():
     # quaternion triangle with P, Q, R forced collinear by solving for v
-    from ncross.linalg import RingMatrix, solve_left
+    from ncross.linalg import solve_left
     one = QUATERNION.one
     for trial in range(5):
         a, b, c = (qp(10 + trial, k) for k in range(3))
         t, u = (sample(QUATERNION, Seed(20 + trial, k)) for k in range(2))
         p = segment_point(b, c, t)
         q = segment_point(c, a, u)
-        m = RingMatrix([[b.x1 - a.x1, -(q.x1 - p.x1)],
-                        [b.x2 - a.x2, -(q.x2 - p.x2)]])
+        m = [[b.x1 - a.x1, -(q.x1 - p.x1)],
+             [b.x2 - a.x2, -(q.x2 - p.x2)]]
         v, _ = solve_left(m, [p.x1 - a.x1, p.x2 - a.x2])
         rep = menelaus_nc(a, b, c, t, u, v)
         assert rep.residual < 1e-8

@@ -102,3 +102,26 @@ def test_leapfrog_degenerate():
     # s_minus coincides with s_prev: the left word inverts zero
     with pytest.raises(UndefinedExpression):
         leapfrog_compatible(rs(-1), rs(0), rs(1), rs(-1), rs(2))
+
+
+def test_relations_evaluate_each_conjugator_once(monkeypatch):
+    import hashlib
+
+    from ncross import pentagram
+    calls = []
+    qp_left = pentagram.qp_left
+
+    def counting(v, i, j, k, tol):
+        calls.append((i, j, k))
+        return qp_left(v, i, j, k, tol)
+
+    monkeypatch.setattr(pentagram, "qp_left", counting)
+    digest = hashlib.sha256()
+    for seed in range(40):
+        calls.clear()
+        rep = pentagram_relations_check(qpentad(seed))
+        assert len(calls) == len(set(calls)) == 10
+        digest.update(repr([r.hex() for r in rep.residuals
+                            + rep.printed_bar_residuals]).encode())
+    # the residual bits of the version that evaluated every conjugator twice
+    assert digest.hexdigest()[:16] == "15519d1bba498888"

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from ncross.errors import UndefinedExpression
-from ncross.linalg import RingMatrix
 from ncross.plucker import Vec2, plucker_minor, qp_left, qp_right
 from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, RationalScalar,
                             Seed, sample)

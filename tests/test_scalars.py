@@ -317,19 +317,19 @@ def _old_inv(m, cond_max=1e8, tol=1e-6):
     return x
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, *args):
     """The result's bytes, or the exception's class and message."""
     try:
-        r = fn(*args, **kwargs)
+        r = fn(*args)
     except Exception as e:  # noqa: BLE001 - the class is what is compared
         return type(e), str(e)
     return r.a.tobytes() if isinstance(r, MatScalar) else r.tobytes()
 
 
-def _assert_inv_matches_old(m, **kwargs):
-    old = _outcome(_old_inv, m, **kwargs)
-    assert _outcome(m.inv, **kwargs) == old
-    assert _outcome(m.inv, **kwargs) == old  # again, from the memo
+def _assert_inv_matches_old(m):
+    old = _outcome(_old_inv, m)
+    assert _outcome(m.inv) == old
+    assert _outcome(m.inv) == old  # again, from the memo
 
 
 def test_matscalar_inv_matches_old_formula_on_samples():
@@ -398,29 +398,12 @@ def test_matscalar_inv_refusals_match_old_formula(entries):
     _assert_inv_matches_old(m)
 
 
-def test_matscalar_inv_non_default_arguments_match_old_formula():
-    m = sample(matrix_ring(3), Seed(4, 2))
-    for kwargs in ({"cond_max": 2.0}, {"tol": 1e-30}, {"tol": 1e-3},
-                   {"cond_max": 1e12, "tol": 1e-9}):
-        _assert_inv_matches_old(m, **kwargs)
-
-
 def test_matscalar_inv_is_memoised():
     m = sample(matrix_ring(3), Seed(4, 0))
     assert m.inv() is m.inv()
     d = m - sample(matrix_ring(3), Seed(4, 1))
     assert d.inv() is d.inv()
     assert m.inv().inv() is not m  # no back-reference
-
-
-def test_matscalar_inv_non_default_arguments_bypass_memo():
-    m = sample(matrix_ring(3), Seed(4, 3))
-    fresh = m.inv(tol=1e-5)
-    assert m._inv is None
-    first = m.inv()
-    assert fresh is not first and fresh.a.tobytes() == first.a.tobytes()
-    assert m.inv(cond_max=1e9) is not first
-    assert m.inv() is first
 
 
 def test_matscalar_slots_refuse_setattr():
@@ -435,7 +418,7 @@ def test_matscalar_results_are_read_only():
     ring = matrix_ring(3)
     a, b = sample(ring, Seed(8, 0)), sample(ring, Seed(8, 1))
     for r in (a + b, a - b, -a, a * b, 2 * a, a * 2.5, a.inv(),
-              a.inv(cond_max=1e9), ring.one, MatScalar([[1, 2], [3, 4]])):
+              ring.one, MatScalar([[1, 2], [3, 4]])):
         assert type(r) is MatScalar and r.a.dtype == complex
         assert not r.a.flags.writeable
         with pytest.raises(ValueError):
