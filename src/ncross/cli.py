@@ -75,7 +75,7 @@ def _matrix(obj) -> list[list]:
     if any(len(r) != cols for r in rows):
         raise DimensionMismatch("ragged rows")
     if not cols:
-        raise IndexError("list index out of range")
+        raise DimensionMismatch("row 0 has no entries")
     if len(rows) != obj.get("rows", len(rows)) or cols != obj.get("cols", cols):
         raise ValueError("rows/cols fields disagree with entries")
     return rows

@@ -1,14 +1,21 @@
-"""Concrete scalar rings: quaternions, square matrices, complex and rational
-numbers.
+"""Scalar rings: the common :class:`Scalar` and :class:`Ring` bases, and
+the pure-Python rings of quaternions, complex and rational numbers.
 
 Every scalar is immutable, carries a reference to its ring, and supports
-``+ - * neg``, ``inv()``, ``norm()`` and ``approx_eq()``.  Immutability is
-enforced once, in the :class:`Scalar` base: every class declares
-``__slots__``, so no scalar has an instance ``__dict__``, and the base
-refuses every attribute write or deletion (constructors fill the slots
-directly).  Matrices are a noncommutative ring with zero divisors rather
-than a division ring, so ``inv()`` may raise :class:`NotInvertible`;
-callers treat that as "the expression is undefined here" and move on.
+``+ - * neg``, ``inv()``, ``norm()``, ``approx_eq()``, ``similar()`` and
+``to_json()``.  Immutability is enforced once, in the :class:`Scalar`
+base: every class declares ``__slots__``, so no scalar has an instance
+``__dict__``, and the base refuses every attribute write or deletion
+(constructors fill the slots directly).
+
+The fourth ring, d x d complex matrices, lives in :mod:`ncross.matrix`,
+the only module that imports numpy.  It is loaded on first use:
+``ring_by_name("matrix")``, a matrix in ``scalar_from_json``, or one of
+the names ``MatScalar``, ``MatrixRing`` and ``matrix_ring``, which this
+module forwards.  Matrices are a noncommutative ring with zero divisors
+rather than a division ring, so ``inv()`` may raise
+:class:`NotInvertible`; callers treat that as "the expression is
+undefined here" and move on.
 
 Sampling contract: ``sample(ring, Seed(s, c))`` is the draw numpy's
 ``Generator(PCG64(SeedSequence(s, spawn_key=(c,))))`` makes for that ring
@@ -21,13 +28,10 @@ depend on numpy's ``Generator`` algorithms.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from ._stream import Stream
 from .errors import (
@@ -100,6 +104,15 @@ class Scalar:
 
     def is_zero(self, tol=DEFAULT_ATOL) -> bool:
         return self.norm() <= tol
+
+    def similar(self, b, tol) -> bool:
+        """Conjugacy to ``b``, a scalar of the same class, within ``tol``.
+        In a commutative ring that is equality."""
+        return self.approx_eq(b, atol=tol, rtol=tol)
+
+    def to_json(self):
+        """The scalar's JSON object (``scalar_to_json``)."""
+        raise NotImplementedError
 
 
 class Quaternion(Scalar):
@@ -181,6 +194,13 @@ class Quaternion(Scalar):
         n2 = w * w + x * x + y * y + z * z
         return _quat(w / n2 / m, -x / n2 / m, -y / n2 / m, -z / n2 / m)
 
+    def similar(self, b, tol):
+        """Exact characterization: equal real part and norm."""
+        return abs(self.w - b.w) <= tol and abs(self.norm() - b.norm()) <= tol
+
+    def to_json(self):
+        return {"ring": "quaternion", "coeffs": [self.w, self.x, self.y, self.z]}
+
     def __repr__(self):
         return f"Quaternion({self.w:g}, {self.x:g}, {self.y:g}, {self.z:g})"
 
@@ -208,138 +228,6 @@ def _quat(w, x, y, z):
     _set_y(q, y)
     _set_z(q, z)
     return q
-
-
-class MatScalar(Scalar):
-    """A d x d matrix used as one noncommutative scalar.
-
-    Inversion is guarded: we refuse when the 2-norm condition number
-    exceeds ``INV_COND_MAX`` or when the residual ``|a x - 1|`` of the
-    computed inverse exceeds ``INV_TOL``, since a nearly singular "scalar"
-    would silently destroy identity checks.
-
-    The scalar owns a read-only copy of its entries, so its inverse is a
-    function of the object: the first ``inv()`` stores its result, and
-    later calls return that same object.  The condition number is computed
-    at most once per object as well; a sampled matrix carries the one its
-    ring's guard computed.  Refusals are not stored."""
-
-    __slots__ = ("a", "_inv", "_cond")
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch("MatScalar requires a square array")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_cond", None)
-
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
-    @property
-    def ring(self):
-        return matrix_ring(self.dim)
-
-    def _check(self, q):
-        if not isinstance(q, MatScalar):
-            return None
-        if q.a.shape != self.a.shape:
-            raise DimensionMismatch(f"dim {self.dim} vs {q.dim}")
-        return q
-
-    def __add__(self, q):
-        if self._check(q) is None:
-            return NotImplemented
-        return _mat(self.a + q.a)
-
-    def __sub__(self, q):
-        if self._check(q) is None:
-            return NotImplemented
-        return _mat(self.a - q.a)
-
-    def __neg__(self):
-        return _mat(-self.a)
-
-    def __mul__(self, q):
-        if self._check(q) is None:
-            q = _coerce(self.ring, q)
-            if q is None:
-                return NotImplemented
-        return _mat(self.a @ q.a)
-
-    def norm(self):
-        return float(np.linalg.norm(self.a, "fro"))
-
-    def inv(self):
-        if self._inv is not None:
-            return self._inv
-        a = self.a
-        cond = self._cond
-        if cond is None:
-            try:
-                cond = _cond(a)
-            except np.linalg.LinAlgError:
-                raise NotInvertible("condition estimate failed")
-            _set_cond(self, cond)
-        if not math.isfinite(cond) or cond > INV_COND_MAX:
-            raise NotInvertible(f"condition {cond:.3g} exceeds {INV_COND_MAX:.3g}")
-        x = np.linalg.inv(a)
-        resid = np.linalg.norm(a @ x - _eye(a.shape[0]))
-        if resid > INV_TOL:
-            raise NotInvertible(f"solve residual {resid:.3g}")
-        r = _mat(x)
-        _set_inv(self, r)
-        return r
-
-    def __repr__(self):
-        return f"MatScalar({np.array2string(self.a, precision=4)})"
-
-
-_set_a, _set_inv, _set_cond = (MatScalar.__dict__[n].__set__
-                               for n in MatScalar.__slots__)
-
-
-def _mat(a):
-    """A MatScalar owning the fresh complex square array ``a``, skipping the
-    copy and the shape check: arithmetic builds one per result."""
-    a.setflags(write=False)
-    m = _new(MatScalar)
-    _set_a(m, a)
-    _set_inv(m, None)
-    _set_cond(m, None)
-    return m
-
-
-def _cond(a):
-    """``np.linalg.cond(a)`` from one bare SVD: s[0] / s[-1] as IEEE
-    division, and NaN turned into inf unless ``a`` holds a NaN.  An SVD
-    that does not converge raises ``LinAlgError``."""
-    s = np.linalg.svd(a, compute_uv=False).tolist()
-    if not s:
-        raise np.linalg.LinAlgError("cond is not defined on empty arrays")
-    hi, lo = s[0], s[-1]
-    try:
-        r = hi / lo
-    except ZeroDivisionError:
-        r = math.copysign(math.inf, lo) if hi > 0 else math.nan
-    if r != r and not np.isnan(a).any():
-        r = math.inf
-    return r
-
-
-_EYES: dict[int, np.ndarray] = {}
-
-
-def _eye(d):
-    """The read-only d x d identity, one per dimension."""
-    e = _EYES.get(d)
-    if e is None:
-        e = _EYES[d] = np.eye(d)
-        e.setflags(write=False)
-    return e
 
 
 class _Number(Scalar):
@@ -389,6 +277,9 @@ class ComplexScalar(_Number):
     def ring(self):
         return COMPLEX
 
+    def to_json(self):
+        return {"ring": "complex", "re": self.v.real, "im": self.v.imag}
+
     def norm(self):
         try:
             return abs(self.v)
@@ -422,6 +313,10 @@ class RationalScalar(_Number):
     @property
     def ring(self):
         return RATIONAL
+
+    def to_json(self):
+        return {"ring": "rational", "num": self.v.numerator,
+                "den": self.v.denominator}
 
     def norm(self):
         return abs(float(self.v))
@@ -482,36 +377,6 @@ class QuaternionRing(Ring):
         return _quat(*stream.uniform(4))
 
 
-class MatrixRing(Ring):
-    commutative = False
-
-    def __init__(self, dim):
-        if dim < 1:
-            raise DimensionMismatch("matrix dimension must be positive")
-        self.dim = dim
-        self.name = f"matrix({dim})"
-
-    def from_real(self, x):
-        return MatScalar(float(x) * np.eye(self.dim))
-
-    def _draw(self, stream):
-        d = self.dim
-        return _mat(np.array(stream.uniform(d * d), dtype=complex)
-                    .reshape(d, d))
-
-    def _guard(self, cand):
-        # kept on the candidate, so that inverting it needs no second SVD
-        cond = _cond(cand.a)
-        _set_cond(cand, cond)
-        return math.isfinite(cond) and cond <= MAX_SAMPLE_COND
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixRing) and other.dim == self.dim
-
-    def __hash__(self):
-        return hash(("matrix", self.dim))
-
-
 class ComplexRing(Ring):
     name = "complex"
     commutative = True
@@ -544,17 +409,24 @@ RATIONAL = RationalRing()
 _RINGS = {r.name: r for r in (QUATERNION, COMPLEX, RATIONAL)}
 
 
-@functools.cache
-def matrix_ring(dim: int) -> MatrixRing:
-    return MatrixRing(dim)
-
-
 def ring_by_name(name: str, dim: int | None = None) -> Ring:
     if name == "matrix":
+        from .matrix import matrix_ring
         return matrix_ring(3 if dim is None else dim)
     if name not in _RINGS:
         raise ValueError(f"unknown ring {name!r}")
     return _RINGS[name]
+
+
+_MATRIX_NAMES = ("MatScalar", "MatrixRing", "matrix_ring")
+
+
+def __getattr__(name):
+    """The matrix ring's names, from :mod:`ncross.matrix` on first use."""
+    if name in _MATRIX_NAMES:
+        from . import matrix
+        return getattr(matrix, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def sample(ring: Ring, seed: Seed) -> Scalar:
@@ -567,23 +439,10 @@ def conjugate_by(a: Scalar, mu: Scalar) -> Scalar:
 
 
 def similar(a: Scalar, b: Scalar, tol: float = 1e-6) -> bool:
-    """Decide conjugacy a ~ mu b mu^-1 within the ring.
-
-    Quaternions: exact characterization (equal real part and norm).
-    Matrices: equal characteristic polynomials; correct on the generic
-    diagonalizable stratum only.  Commutative scalars: equality.
-    """
-    if isinstance(a, Quaternion) and isinstance(b, Quaternion):
-        return abs(a.w - b.w) <= tol and abs(a.norm() - b.norm()) <= tol
-    if isinstance(a, MatScalar) and isinstance(b, MatScalar):
-        if a.dim != b.dim:
-            raise DimensionMismatch("similar: matrix dims differ")
-        ca = np.poly(a.a)
-        cb = np.poly(b.a)
-        return bool(np.all(np.abs(ca - cb) <= tol * (1 + np.abs(ca) + np.abs(cb))))
+    """Decide conjugacy a ~ mu b mu^-1 within the ring (``a.similar``)."""
     if type(a) is not type(b):
         raise DimensionMismatch("similar: scalars from different rings")
-    return a.approx_eq(b, atol=tol, rtol=tol)
+    return a.similar(b, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -591,50 +450,33 @@ def similar(a: Scalar, b: Scalar, tol: float = 1e-6) -> bool:
 
 
 def scalar_to_json(a: Scalar):
-    if isinstance(a, Quaternion):
-        return {"ring": "quaternion", "coeffs": [a.w, a.x, a.y, a.z]}
-    if isinstance(a, ComplexScalar):
-        return {"ring": "complex", "re": a.v.real, "im": a.v.imag}
-    if isinstance(a, RationalScalar):
-        return {"ring": "rational", "num": a.v.numerator, "den": a.v.denominator}
-    if isinstance(a, MatScalar):
-        ents = []
-        for row in a.a:
-            ents.append(
-                [
-                    (v.real if v.imag == 0 else {"re": v.real, "im": v.imag})
-                    for v in row
-                ]
-            )
-        return {"ring": "matrix", "dim": a.dim, "entries": ents}
-    raise TypeError(f"not a scalar: {a!r}")
+    if not isinstance(a, Scalar):
+        raise TypeError(f"not a scalar: {a!r}")
+    return a.to_json()
 
 
-def _entry_from_json(v):
-    if isinstance(v, dict):
-        return complex(v["re"], v.get("im", 0.0))
-    return complex(v)
+def _refuse_non_finite(kind, parts):
+    if not all(map(cmath.isfinite, parts)):
+        raise ValueError(f"non-finite entry in a {kind} scalar")
 
 
 def scalar_from_json(obj) -> Scalar:
     """Decode one scalar; NaN and infinite entries are rejected."""
     kind = obj["ring"]
-    if kind == "rational":
-        return RationalScalar(int(obj["num"]), int(obj.get("den", 1)))
     if kind == "quaternion":
         s = Quaternion(*obj["coeffs"])
-        parts = (s.w, s.x, s.y, s.z)
+        _refuse_non_finite(kind, (s.w, s.x, s.y, s.z))
     elif kind == "complex":
         s = ComplexScalar(complex(obj["re"], obj.get("im", 0.0)))
-        parts = s.v
+        _refuse_non_finite(kind, (s.v,))
+    elif kind == "rational":
+        num, den = obj["num"], obj.get("den", 1)
+        _refuse_non_finite(kind, [v for v in (num, den)
+                                  if isinstance(v, float)])
+        s = RationalScalar(int(num), int(den))
     elif kind == "matrix":
-        ents = [[_entry_from_json(v) for v in row] for row in obj["entries"]]
-        s = MatScalar(ents)
-        if s.dim != obj.get("dim", s.dim):
-            raise DimensionMismatch("matrix dim field disagrees with entries")
-        parts = s.a
+        from .matrix import matrix_from_json
+        s = matrix_from_json(obj)
     else:
         raise ValueError(f"unknown ring tag {kind!r}")
-    if not np.isfinite(parts).all():
-        raise ValueError(f"non-finite entry in a {kind} scalar")
     return s

@@ -7,7 +7,9 @@ arithmetic — except infinitesimal_ceva, which integrates a real scalar
 field along segments with a 21-point Gauss-Kronrod rule.  For its midpoint
 construction the distortion c - 1 starts at order eps^3 with a closed
 form in the derivatives of log kappa; the eps^2 coefficient is
-identically zero.
+identically zero.  Points, directions and kappa's derivatives there are
+plain tuples of floats with the 2-vector arithmetic written out, so the
+module needs no numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
                      NotInvertible, NumericalBreakdown, PointsTooClose,
@@ -244,55 +244,66 @@ def schwarzian_equation_check(g: Jet, f0: Scalar, f1: Scalar,
 
 class KappaField(NamedTuple):
     """A positive conformal factor kappa on the plane with closed-form
-    derivatives: gradient (2,), hessian (2, 2) and the symmetric tensor of
-    third derivatives (2, 2, 2)."""
+    derivatives, as nested tuples of floats: the gradient (2,), the
+    hessian (2, 2) and the symmetric tensor of third derivatives
+    (2, 2, 2)."""
     name: str
     value: Callable[[float, float], float]
-    gradient: Callable[[float, float], np.ndarray]
-    hessian: Callable[[float, float], np.ndarray]
-    third: Callable[[float, float], np.ndarray]
+    gradient: Callable[[float, float], tuple]
+    hessian: Callable[[float, float], tuple]
+    third: Callable[[float, float], tuple]
+
+
+_ZERO1 = (0.0, 0.0)
+_ZERO2 = (_ZERO1, _ZERO1)
+_ZERO3 = (_ZERO2, _ZERO2)
 
 
 def _gauss(x, y):
     return math.exp(-(x * x + y * y) / 2)
 
 
+def _gauss_gradient(x, y):
+    g = -_gauss(x, y)
+    return (g * x, g * y)
+
+
+def _gauss_hessian(x, y):
+    g = _gauss(x, y)
+    xy = g * (x * y)
+    return ((g * (x * x - 1.0), xy), (xy, g * (y * y - 1.0)))
+
+
 def _gauss_third(x, y):
     # d_ijk kappa = kappa (d_ij x_k + d_ik x_j + d_jk x_i - x_i x_j x_k)
-    xxy, xyy = y - x * x * y, x - x * y * y
-    return _gauss(x, y) * np.array(
-        [[[3.0 * x - x ** 3, xxy], [xxy, xyy]],
-         [[xxy, xyy], [xyy, 3.0 * y - y ** 3]]])
+    g = _gauss(x, y)
+    xxy, xyy = g * (y - x * x * y), g * (x - x * y * y)
+    return (((g * (3.0 * x - x ** 3), xxy), (xxy, xyy)),
+            ((xxy, xyy), (xyy, g * (3.0 * y - y ** 3))))
 
 
 def _exp_y_third(x, y):
-    t = np.zeros((2, 2, 2))
-    t[1, 1, 1] = math.exp(y)
-    return t
+    return (_ZERO2, (_ZERO1, (0.0, math.exp(y))))
 
 
 KAPPA_FIELDS = {
     "const1": KappaField(
         "const1", lambda x, y: 1.0,
-        lambda x, y: np.zeros(2),
-        lambda x, y: np.zeros((2, 2)),
-        lambda x, y: np.zeros((2, 2, 2))),
+        lambda x, y: _ZERO1,
+        lambda x, y: _ZERO2,
+        lambda x, y: _ZERO3),
     "exp_y": KappaField(
         "exp_y", lambda x, y: math.exp(y),
-        lambda x, y: np.array([0.0, math.exp(y)]),
-        lambda x, y: np.array([[0.0, 0.0], [0.0, math.exp(y)]]),
+        lambda x, y: (0.0, math.exp(y)),
+        lambda x, y: (_ZERO1, (0.0, math.exp(y))),
         _exp_y_third),
     "gauss": KappaField(
-        "gauss", _gauss,
-        lambda x, y: -_gauss(x, y) * np.array([x, y]),
-        lambda x, y: _gauss(x, y) * np.array(
-            [[x * x - 1.0, x * y], [x * y, y * y - 1.0]]),
-        _gauss_third),
+        "gauss", _gauss, _gauss_gradient, _gauss_hessian, _gauss_third),
     "poly": KappaField(
         "poly", lambda x, y: 1.0 + x * x + 2.0 * y * y,
-        lambda x, y: np.array([2.0 * x, 4.0 * y]),
-        lambda x, y: np.array([[2.0, 0.0], [0.0, 4.0]]),
-        lambda x, y: np.zeros((2, 2, 2))),
+        lambda x, y: (2.0 * x, 4.0 * y),
+        lambda x, y: ((2.0, 0.0), (0.0, 4.0)),
+        lambda x, y: _ZERO3),
 }
 
 
@@ -331,7 +342,16 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.295524224714752870173892994651338)
 
 
-def _seg_length(field: KappaField, p: np.ndarray, q: np.ndarray) -> float:
+def _step(p, d, s):
+    """The point p + s d of the plane, one IEEE operation per component."""
+    return (p[0] + s * d[0], p[1] + s * d[1])
+
+
+def _minus(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _seg_length(field: KappaField, p, q) -> float:
     """Time-integral of kappa along the straight segment p -> q traversed
     at unit parameter speed, by one qk21 pass on [0, 1].
 
@@ -340,8 +360,10 @@ def _seg_length(field: KappaField, p: np.ndarray, q: np.ndarray) -> float:
     when it stops after that pass, as it does for these smooth fields; the
     embedded 10-point Gauss sum gives the error estimate."""
 
+    d = _minus(q, p)
+
     def integrand(s):
-        pt = p + s * (q - p)
+        pt = _step(p, d, s)
         v = field.value(pt[0], pt[1])
         if v <= 0.0:
             raise NonPositiveKappa(f"kappa({pt[0]:.3g},{pt[1]:.3g}) = {v:.3g}")
@@ -367,18 +389,30 @@ class CevaInfinitesimal(NamedTuple):
     s3: float        # closed-form eps^3 coefficient of c_minus_1
 
 
-def _ceva_s3(field: KappaField, x: np.ndarray, sides) -> float:
+def _over(t, k):
+    """The nested tuple tensor t with every entry divided by k."""
+    return tuple(_over(r, k) for r in t) if isinstance(t, tuple) else t / k
+
+
+def _contract(t, u):
+    """Contract the last index of the nested tuple tensor t with the
+    2-vector u."""
+    if isinstance(t[0], tuple):
+        return tuple(_contract(r, u) for r in t)
+    return t[0] * u[0] + t[1] * u[1]
+
+
+def _ceva_s3(field: KappaField, x, sides) -> float:
     """(1/12) sum over side directions u of l_uuu - l_u l_uu at x, for
     l = log kappa, from kappa's closed-form derivatives."""
     k = float(field.value(x[0], x[1]))
-    grad = field.gradient(x[0], x[1]) / k
-    hess = field.hessian(x[0], x[1]) / k
-    third = field.third(x[0], x[1]) / k
+    grad, hess, third = (_over(f(x[0], x[1]), k) for f in
+                         (field.gradient, field.hessian, field.third))
     total = 0.0
     for u in sides:
-        g = float(grad @ u)
-        h = float(u @ hess @ u)
-        t = float(u @ (u @ (third @ u)))
+        g = _contract(grad, u)
+        h = _contract(_contract(hess, u), u)
+        t = _contract(_contract(_contract(third, u), u), u)
         l_uu = h - g * g
         l_uuu = t - 3.0 * g * h + 2.0 * g * g * g
         total += l_uuu - g * l_uu
@@ -408,17 +442,15 @@ def infinitesimal_ceva(vf: VectorFieldPair, x, eps: float) -> CevaInfinitesimal:
     (exp_y) c = 1 at every eps.  Whether the coefficient 5/6 quoted for
     this functional (arXiv 1905.01366) belongs to another placement of K,
     L, M is not settled here: the paper's text is not in the repository."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(vf.xi, dtype=float)
-    eta = np.asarray(vf.eta, dtype=float)
+    x, xi, eta = (tuple(map(float, v)) for v in (x, vf.xi, vf.eta))
     field = vf.kappa
 
     A = x
-    B = x + 2 * eps * xi
-    C = x + 2 * eps * eta
-    K = x + eps * xi
-    L = B + eps * (eta - xi)
-    M = x + eps * eta
+    B = _step(x, xi, 2 * eps)
+    C = _step(x, eta, 2 * eps)
+    K = _step(x, xi, eps)
+    L = _step(B, _minus(eta, xi), eps)
+    M = _step(x, eta, eps)
 
     ak = _seg_length(field, A, K)
     kb = _seg_length(field, K, B)
@@ -428,7 +460,7 @@ def infinitesimal_ceva(vf: VectorFieldPair, x, eps: float) -> CevaInfinitesimal:
     ma = _seg_length(field, M, A)
     c = (ak / kb) * (bl / lc) * (cm / ma)
 
-    s3 = _ceva_s3(field, x, (xi, eta - xi, -eta))
+    s3 = _ceva_s3(field, x, (xi, _minus(eta, xi), (-eta[0], -eta[1])))
     return CevaInfinitesimal(c - 1.0, s3)
 
 

@@ -363,7 +363,8 @@ def test_index_out_of_range_exit_1(capsys, tmp_path, op, payload):
 
 _MALFORMED_MATRICES = {
     "empty": ({"entries": []}, "DimensionMismatch", "empty matrix"),
-    "no-entry-row": ({"entries": [[]]}, "IndexError", "list index out of range"),
+    "no-entry-row": ({"entries": [[]]}, "DimensionMismatch",
+                     "row 0 has no entries"),
     "ragged": ({"entries": [[rat(1), rat(2)], [rat(3)]]},
                "DimensionMismatch", "ragged rows"),
     "fields-disagree": ({"entries": [[rat(1), rat(2)], [rat(3), rat(4)]],

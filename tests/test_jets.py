@@ -13,7 +13,7 @@ def qjet(seed, order=4):
     return Jet([sample(ring, Seed(seed, k)) for k in range(order + 1)], ring)
 
 
-def test_constant_and_variable():
+def test_constant():
     c = Jet.constant(RATIONAL.from_real(3), 3)
     assert c[0].approx_eq(RATIONAL.from_real(3))
     assert all(v.norm() == 0.0 for v in c.coeffs[1:])

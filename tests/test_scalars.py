@@ -100,6 +100,33 @@ def test_scalar_from_json_rejects_non_finite(obj):
         scalar_from_json(obj)
 
 
+@pytest.mark.parametrize("kind, obj", [
+    ("quaternion", {"coeffs": [1.0, 0.0, float("inf"), 0.0]}),
+    ("complex", {"re": float("nan"), "im": 0.0}),
+    ("rational", {"num": float("nan"), "den": 2}),
+    ("rational", {"num": 1, "den": float("-inf")}),
+    ("matrix", {"entries": [[1.0, 0.0], [float("inf"), 1.0]]}),
+    ("matrix", {"entries": [[{"re": 1.0, "im": float("nan")}]]}),
+])
+def test_non_finite_entry_names_its_ring(kind, obj):
+    with pytest.raises(ValueError) as e:
+        scalar_from_json({"ring": kind, **obj})
+    assert str(e.value) == f"non-finite entry in a {kind} scalar"
+
+
+def test_similar_refuses_mixed_rings_and_dims():
+    pairs = [(Quaternion(1), MatScalar([[1.0]])),
+             (ComplexScalar(1), RationalScalar(1)),
+             (MatScalar([[1.0]]), Quaternion(1))]
+    for a, b in pairs:
+        with pytest.raises(DimensionMismatch) as e:
+            similar(a, b)
+        assert str(e.value) == "similar: scalars from different rings"
+    with pytest.raises(DimensionMismatch) as e:
+        similar(MatScalar(np.eye(2)), MatScalar(np.eye(3)))
+    assert str(e.value) == "similar: matrix dims differ"
+
+
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
 

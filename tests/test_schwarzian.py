@@ -162,8 +162,8 @@ def test_kappa_field_derivatives_match_differences(name):
     e = np.eye(2) * h
 
     def diff(g):  # central difference of g along each axis, stacked last
-        return np.stack([(g(x + e[i, 0], y + e[i, 1])
-                          - g(x - e[i, 0], y - e[i, 1])) / (2 * h)
+        return np.stack([np.subtract(g(x + e[i, 0], y + e[i, 1]),
+                                     g(x - e[i, 0], y - e[i, 1])) / (2 * h)
                          for i in range(2)], axis=-1)
 
     assert np.allclose(diff(f.value), f.gradient(x, y), atol=1e-8)
