@@ -4,7 +4,6 @@ five-vector relations, and the leapfrog compatibility predicate."""
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple, Sequence
 
 from .crossratio import cross_ratio, cross_ratio_conj_bar
@@ -77,7 +76,6 @@ def pentagram_relations_check(p: Pentad, tol: float = DEFAULT_ATOL) -> Pentagram
     v = list(p)
     one = p.ring.one
 
-    @cache  # both readings share the conjugators
     def q(k, i, j):
         # labels are 1-based column names
         return qp_left(v, i - 1, j - 1, k - 1, tol)

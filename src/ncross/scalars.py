@@ -461,7 +461,8 @@ def _refuse_non_finite(kind, parts):
 
 
 def scalar_from_json(obj) -> Scalar:
-    """Decode one scalar; NaN and infinite entries are rejected."""
+    """Decode one scalar; NaN and infinite entries are rejected, and so is
+    a rational whose ``num`` or ``den`` is a float with a fractional part."""
     kind = obj["ring"]
     if kind == "quaternion":
         s = Quaternion(*obj["coeffs"])
@@ -471,8 +472,10 @@ def scalar_from_json(obj) -> Scalar:
         _refuse_non_finite(kind, (s.v,))
     elif kind == "rational":
         num, den = obj["num"], obj.get("den", 1)
-        _refuse_non_finite(kind, [v for v in (num, den)
-                                  if isinstance(v, float)])
+        floats = [v for v in (num, den) if isinstance(v, float)]
+        _refuse_non_finite(kind, floats)
+        if not all(v.is_integer() for v in floats):
+            raise ValueError("non-integral entry in a rational scalar")
         s = RationalScalar(int(num), int(den))
     elif kind == "matrix":
         from .matrix import matrix_from_json

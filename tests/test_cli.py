@@ -396,6 +396,17 @@ def test_non_finite_or_undefined_input_exit_1(capsys, tmp_path, bad):
     assert set(json.loads(out)) == {"error", "message"}
 
 
+@pytest.mark.parametrize("bad", [rat(1.5), rat(1, 2.9), rat(-0.5, 3)])
+def test_fractional_rational_input_exit_1(capsys, tmp_path, bad):
+    # truncation would answer for another input
+    v = {"x1": bad, "x2": rat(1)}
+    code, out = compute(capsys, tmp_path, "cross_ratio", {"vectors": [v] * 4})
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValueError",
+        "message": "non-integral entry in a rational scalar"}
+
+
 def test_dump_rejects_non_finite():
     assert _dump({"a": [1.5, None, True]}) == '{"a": [1.5, null, true]}'
     for x in (float("nan"), float("inf"), -float("inf")):

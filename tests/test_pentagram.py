@@ -106,21 +106,29 @@ def test_leapfrog_degenerate():
 
 def test_relations_evaluate_each_conjugator_once(monkeypatch):
     import hashlib
+    import sys
 
-    from ncross import pentagram
-    calls = []
-    qp_left = pentagram.qp_left
+    from ncross import plucker
+    evaluated = []
+    agreed = plucker.agreed
 
-    def counting(v, i, j, k, tol):
-        calls.append((i, j, k))
-        return qp_left(v, i, j, k, tol)
+    def counting(routes, tol, *rest):
+        # an evaluation of qp_left: it reached the row forms
+        f = sys._getframe(1).f_locals
+        cols = f["columns"]
+        evaluated.append((id(cols[f["i"]]), id(cols[f["j"]]),
+                          id(cols[f["k"]]), tol))
+        return agreed(routes, tol, *rest)
 
-    monkeypatch.setattr(pentagram, "qp_left", counting)
+    monkeypatch.setattr(plucker, "agreed", counting)
     digest = hashlib.sha256()
     for seed in range(40):
-        calls.clear()
+        plucker._memo.clear()
+        evaluated.clear()
         rep = pentagram_relations_check(qpentad(seed))
-        assert len(calls) == len(set(calls)) == 10
+        # 9 cross-ratios ask for 14 distinct coordinates (x6 and x7 share
+        # theirs with x1 and x2), the 10 conjugators for 10 others
+        assert len(evaluated) == len(set(evaluated)) == 24
         digest.update(repr([r.hex() for r in rep.residuals
                             + rep.printed_bar_residuals]).encode())
     # the residual bits of the version that evaluated every conjugator twice

@@ -114,6 +114,24 @@ def test_non_finite_entry_names_its_ring(kind, obj):
     assert str(e.value) == f"non-finite entry in a {kind} scalar"
 
 
+@pytest.mark.parametrize("obj", [
+    {"num": 1.5}, {"num": 1, "den": 2.9}, {"num": -0.5, "den": 3},
+    {"num": 2.0, "den": 0.5},
+])
+def test_rational_refuses_non_integral_float(obj):
+    with pytest.raises(ValueError) as e:
+        scalar_from_json({"ring": "rational", **obj})
+    assert str(e.value) == "non-integral entry in a rational scalar"
+
+
+def test_rational_accepts_ints_and_integral_floats():
+    want = RationalScalar(-3, 4)
+    for num, den in ((-3, 4), (-3.0, 4), (-3, 4.0), (-6.0, 8.0)):
+        got = scalar_from_json({"ring": "rational", "num": num, "den": den})
+        assert got == want
+    assert scalar_from_json({"ring": "rational", "num": 5.0}) == RationalScalar(5)
+
+
 def test_similar_refuses_mixed_rings_and_dims():
     pairs = [(Quaternion(1), MatScalar([[1.0]])),
              (ComplexScalar(1), RationalScalar(1)),
