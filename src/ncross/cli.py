@@ -81,11 +81,21 @@ def _matrix(obj) -> list[list]:
     return rows
 
 
+def _items(data, key: str, decode, n: int, op: str) -> list:
+    """``data[key]`` decoded entry by entry; ``op`` needs exactly ``n``."""
+    items = [decode(v) for v in data[key]]
+    if len(items) != n:
+        raise ValueError(f"{op} needs exactly {n} {key}")
+    return items
+
+
 def _jet(obj) -> Jet:
     coeffs = [scalar_from_json(c) for c in obj["coeffs"]]
+    if not coeffs:
+        raise ValueError("coeffs needs at least one scalar")
     if obj.get("order", len(coeffs) - 1) != len(coeffs) - 1:
         raise ValueError("order field disagrees with coeffs")
-    return Jet(coeffs, coeffs[0].ring)
+    return Jet(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +103,7 @@ def _jet(obj) -> Jet:
 
 
 def _op_cross_ratio(data):
-    vs = [_vec2(v) for v in data["vectors"]]
-    if len(vs) != 4:
-        raise ValueError("cross_ratio needs exactly 4 vectors")
+    vs = _items(data, "vectors", _vec2, 4, "cross_ratio")
     return scalar_to_json(cross_ratio(*vs))
 
 
@@ -134,9 +142,7 @@ def _op_dv(data):
 
 
 def _op_collinear(data):
-    pts = [_vec2(p) for p in data["points"]]
-    if len(pts) != 3:
-        raise ValueError("collinear needs exactly 3 points")
+    pts = _items(data, "points", _vec2, 3, "collinear")
     return {"collinear": collinear(*pts)}
 
 
@@ -152,17 +158,14 @@ def _op_pentagram_classical(data):
 
 
 def _op_pentagram_nc(data):
-    p = Pentad(*(_vec2(v) for v in data["vectors"]))
-    rep = pentagram_relations_check(p)
+    vs = _items(data, "vectors", _vec2, 5, "pentagram_nc")
+    rep = pentagram_relations_check(Pentad(*vs))
     return {"x": [scalar_to_json(v) for v in rep.x],
             "residuals": list(rep.residuals)}
 
 
 def _op_leapfrog(data):
-    pts = [scalar_from_json(p) for p in data["points"]]
-    if len(pts) != 5:
-        raise ValueError("leapfrog needs exactly 5 scalars: "
-                         "S_{i-1}, S_i, S_{i+1}, S_i^-, S_i^+")
+    pts = _items(data, "points", scalar_from_json, 5, "leapfrog")
     return {"compatible": leapfrog_compatible(*pts)}
 
 

@@ -158,11 +158,11 @@ class MenelausNCReport(NamedTuple):
 
 
 def _qp_affine(u: Vec2, v: Vec2, w: Vec2, tol: float) -> Scalar:
-    """Left quasi-Pluecker q^w_uv of the per-coordinate lifts (value, 1);
-    the two coordinates must agree when w is on line uv."""
+    """Left quasi-Pluecker q^w_uv of the lifts (value, 1) of each coordinate;
+    the two agree when w is on line uv.  Tuple lifts skip qp_left's memo."""
     one = u.ring.one
-    return agreed([lambda c=c: qp_left((Vec2(u[c], one), Vec2(v[c], one),
-                                        Vec2(w[c], one)), 0, 1, 2, tol)
+    return agreed([lambda c=c: qp_left(((u[c], one), (v[c], one),
+                                        (w[c], one)), 0, 1, 2, tol)
                    for c in range(2)],
                   tol, PairMismatch, "quasi-Pluecker axis ratios")
 

@@ -1,10 +1,12 @@
 """Named verification suites.
 
 Every suite draws its trial data deterministically from (seed, trial
-index), evaluates a bundle of identities, and reports the worst residual.
-Degenerate draws (UndefinedExpression) are skipped and counted; a suite
-only fails when a residual exceeds the tolerance on a well-defined trial,
-or when the skipped fraction exceeds the ceiling."""
+index) and evaluates a bundle of identities.  Its trial body returns their
+residuals as a list; ``run_suite`` alone reduces it to the trial's worst,
+and a NaN anywhere in it fails the trial.  Degenerate draws
+(UndefinedExpression) are skipped and counted; a suite only fails when a
+residual exceeds the tolerance on a well-defined trial, or when the
+skipped fraction exceeds the ceiling."""
 
 from __future__ import annotations
 
@@ -34,14 +36,13 @@ _STRIDE = 100003
 
 
 class Draw:
-    """Deterministic scalar source for one trial."""
+    """Deterministic scalar source for one trial; it counts its draws."""
 
     def __init__(self, ring: Ring, seed: int, trial: int):
         self.ring = ring
         self.seed = seed
         self.trial = trial
         self.k = 0
-        self.log: list = []
 
     def scalar(self) -> Scalar:
         if self.k >= _STRIDE:
@@ -49,8 +50,12 @@ class Draw:
                 f"trial {self.trial} drew more than {_STRIDE} scalars")
         s = self.ring.sample(Seed(self.seed, self.trial * _STRIDE + self.k))
         self.k += 1
-        self.log.append(s)
         return s
+
+    def inputs(self) -> list:
+        """The JSON of the scalars drawn so far, re-drawn from the stream."""
+        replay = Draw(self.ring, self.seed, self.trial)
+        return [scalar_to_json(replay.scalar()) for _ in range(self.k)]
 
     def vec2(self) -> Vec2:
         return Vec2(self.scalar(), self.scalar())
@@ -120,15 +125,11 @@ class Report:
         }
 
 
-def _mx(*vals: float) -> float:
-    return max(vals) if vals else 0.0
-
-
 # ---------------------------------------------------------------------------
-# trial bodies; each returns the trial's worst residual
+# trial bodies; each returns the residuals of all its identities as a list
 
 
-def _t_plucker(d: Draw, tol: float) -> float:
+def _t_plucker(d: Draw, tol: float) -> list:
     ring = d.ring
     one = ring.one
 
@@ -171,12 +172,11 @@ def _t_plucker(d: Draw, tol: float) -> float:
         # minor-ratio reduction
         q = qp_left(cols, i, j, k, tol)
         res.append(rel(q * plucker_minor(cols, i, k), plucker_minor(cols, j, k)))
-    return _mx(*res)
+    return res
 
 
-def _t_crossratio_cocycles(d: Draw, tol: float) -> float:
-    ring = d.ring
-    one = ring.one
+def _t_crossratio_cocycles(d: Draw, tol: float) -> list:
+    one = d.ring.one
     K = crossratio.cross_ratio
     x, y, z, t, w = (d.vec2() for _ in range(5))
     res = []
@@ -203,10 +203,10 @@ def _t_crossratio_cocycles(d: Draw, tol: float) -> float:
     res.append((K(x, x, z, t, tol) - one).norm())
     # inversion
     res.append((k0 * crossratio.cross_ratio_bar(x, y, z, t, tol) - one).norm())
-    return _mx(*res)
+    return res
 
 
-def _t_crossratio_permutations(d: Draw, tol: float) -> float:
+def _t_crossratio_permutations(d: Draw, tol: float) -> list:
     K = crossratio.cross_ratio
     x, y, z, t = (d.vec2() for _ in range(4))
     cols = (x, y, z, t)
@@ -249,35 +249,33 @@ def _t_crossratio_permutations(d: Draw, tol: float) -> float:
     if d.ring.commutative:
         # the short commuted word only matches when factors commute
         res.append(tr.naive_residual)
-    return _mx(*res)
+    return res
 
 
-def _t_dv_equivalence(d: Draw, tol: float) -> float:
+def _t_dv_equivalence(d: Draw, tol: float) -> list:
     one = d.ring.one
     P1, P2, Q1, Q2 = (d.scalar() for _ in range(4))
     lhs = crossratio.dv(crossratio.PolarizationQuad(Q2, P2, Q1, P1))
     vecs = [Vec2(one, op) for op in (P1, P2, Q1, Q2)]
     rhs = crossratio.cross_ratio(vecs[0], vecs[1], vecs[3], vecs[2], tol)
-    return (lhs - rhs).norm()
+    return [(lhs - rhs).norm()]
 
 
-def _t_dv_cocycle(d: Draw, tol: float) -> float:
+def _t_dv_cocycle(d: Draw, tol: float) -> list:
     one = d.ring.one
     A, B, X, Y, Z = (d.scalar() for _ in range(5))
 
     def DV(a, b, c, e):
         return crossratio.dv(crossratio.PolarizationQuad(a, b, c, e))
 
-    res = [
+    return [
         (DV(A, X, B, Y) * DV(A, Y, B, Z) - DV(A, X, B, Z)).norm(),
         (DV(A, X, B, Y) * DV(A, Y, B, Z) * DV(A, Z, B, X) - one).norm(),
     ]
-    return _mx(*res)
 
 
-def _t_geometry_collinear(d: Draw, tol: float) -> float:
-    ring = d.ring
-    one = ring.one
+def _t_geometry_collinear(d: Draw, tol: float) -> list:
+    one = d.ring.one
     a, b = d.vec2(), d.vec2()
     lam = d.scalar()
     z = geometry.segment_point(a, b, lam)
@@ -303,7 +301,7 @@ def _t_geometry_collinear(d: Draw, tol: float) -> float:
     ws[2] = geometry.barycentric(w, a, b, c, tol)
     r2 = geometry.barycentric_collinear_report(*ws, frame=(a, b, c), tol=1e-7)
     res.append(1.0 if r2.verdict else 0.0)
-    return _mx(*res)
+    return res
 
 
 def _meet_param(p1: Vec2, p2: Vec2, p3: Vec2, p4: Vec2) -> Scalar:
@@ -315,7 +313,7 @@ def _meet_param(p1: Vec2, p2: Vec2, p3: Vec2, p4: Vec2) -> Scalar:
     return s
 
 
-def _t_menelaus(d: Draw, tol: float) -> float:
+def _t_menelaus(d: Draw, tol: float) -> list:
     ring = d.ring
     one = ring.one
     a, b, c = d.vec2(), d.vec2(), d.vec2()
@@ -333,10 +331,10 @@ def _t_menelaus(d: Draw, tol: float) -> float:
     # non-collinear control: perturb v
     rep2 = geometry.menelaus_nc(a, b, c, t_, u_, v_ + one, tol)
     res.append(0.0 if rep2.residual > 1e-6 else 1.0)
-    return _mx(*res)
+    return res
 
 
-def _t_ceva(d: Draw, tol: float) -> float:
+def _t_ceva(d: Draw, tol: float) -> list:
     one = d.ring.one
     a, b, c = d.vec2(), d.vec2(), d.vec2()
     # cevians through an interior point p: feet are line intersections
@@ -359,10 +357,10 @@ def _t_ceva(d: Draw, tol: float) -> float:
     g = meet(a, geometry.segment_point(b, c, d.scalar()), b, c)
     val2 = geometry.ceva_commutative(a, b, c, g, e, f, tol)
     res.append(0.0 if (val2 + one).norm() > 1e-6 else 1.0)
-    return _mx(*res)
+    return res
 
 
-def _t_konopelchenko(d: Draw, tol: float) -> float:
+def _t_konopelchenko(d: Draw, tol: float) -> list:
     f1, f2, f3 = d.vec2(), d.vec2(), d.vec2()
     f12, f23 = d.scalar(), d.scalar()
     f31 = -((f12.inv() + f23.inv()).inv())
@@ -371,10 +369,10 @@ def _t_konopelchenko(d: Draw, tol: float) -> float:
     res.append(0.0 if (rep.theta_zero and rep.points_collinear) else 1.0)
     rep2 = geometry.konopelchenko(f1, f2, f3, f12, f23, d.scalar(), tol=1e-7)
     res.append(0.0 if (rep2.theta_zero == rep2.points_collinear) else 1.0)
-    return _mx(*res)
+    return res
 
 
-def _t_schwarzian_expansion(d: Draw, tol: float) -> float:
+def _t_schwarzian_expansion(d: Draw, tol: float) -> list:
     z = d.jet(6)
     z.coeffs[1].inv()  # raises on a degenerate draw
     rs = []
@@ -386,7 +384,7 @@ def _t_schwarzian_expansion(d: Draw, tol: float) -> float:
     pair = [math.log2(max(rs[i], 1e-300) / max(rs[i + 1], 1e-300))
             for i in range(len(rs) - 1)]
     slope = 2.0 * pair[-1] - pair[-2]
-    return max(0.0, 2.9 - slope)
+    return [0.0 if slope >= 2.9 else 2.9 - slope]  # a NaN slope stays NaN
 
 
 def _ode_pair(d: Draw):
@@ -398,7 +396,7 @@ def _ode_pair(d: Draw):
     return a, b, f1, f2
 
 
-def _t_ode_roundtrip(d: Draw, tol: float) -> float:
+def _t_ode_roundtrip(d: Draw, tol: float) -> list:
     a, b, f1, f2 = _ode_pair(d)
     ar, br = schwarzian.recover_ode_coeffs(f1, f2, tol)
     res = [(ar - a[0]).norm(), (br - b[0]).norm()]
@@ -411,10 +409,10 @@ def _t_ode_roundtrip(d: Draw, tol: float) -> float:
     phi = f1.inv() * f2
     res.append((a[0] + 2.0 * (f1[1] * f1i)
                 + f1[0] * phi[2] * phi[1].inv() * f1i).norm())
-    return _mx(*res)
+    return res
 
 
-def _t_gauge_theorem(d: Draw, tol: float) -> float:
+def _t_gauge_theorem(d: Draw, tol: float) -> list:
     a, b, f1, f2 = _ode_pair(d)
     rep = schwarzian.gauge_theorem_check(f1, f2, a, b, tol)
     res = [rep.a_tilde_residual, rep.prop_residual,
@@ -422,18 +420,18 @@ def _t_gauge_theorem(d: Draw, tol: float) -> float:
            / (1.0 + rep.b_direct.norm())]
     if rep.winner != "square":
         res.append(1.0)
-    return _mx(*res)
+    return res
 
 
-def _t_schwarzian_equation(d: Draw, tol: float) -> float:
+def _t_schwarzian_equation(d: Draw, tol: float) -> list:
     g = d.jet(6)
-    return schwarzian.schwarzian_equation_check(g, d.scalar(), d.scalar(), tol).residual
+    return [schwarzian.schwarzian_equation_check(g, d.scalar(), d.scalar(), tol).residual]
 
 
 _CEVA_FIELDS = ("const1", "exp_y", "gauss", "poly")
 
 
-def _t_ceva_infinitesimal(d: Draw, tol: float) -> float:
+def _t_ceva_infinitesimal(d: Draw, tol: float) -> list:
     name = _CEVA_FIELDS[d.trial % len(_CEVA_FIELDS)]
     vf = schwarzian.VectorFieldPair((1.0, 0.0), (0.0, 1.0),
                                     schwarzian.kappa_field(name))
@@ -443,20 +441,20 @@ def _t_ceva_infinitesimal(d: Draw, tol: float) -> float:
     r2 = schwarzian.infinitesimal_ceva(vf, base, eps / 2)
     if name in ("const1", "exp_y"):
         # exact cancellation cases
-        return abs(r1.c_minus_1)
+        return [abs(r1.c_minus_1)]
     # distortion decays at third order: halving eps divides c-1 by ~8
     slope = math.log2(abs(r1.c_minus_1) / max(abs(r2.c_minus_1), 1e-300))
-    res = [max(0.0, 2.7 - slope)]
+    res = [0.0 if slope >= 2.7 else 2.7 - slope]
     # equal fields span a degenerate triangle: c = 1 and s3 = 0 exactly
     vf2 = schwarzian.VectorFieldPair((1.0, 1.0), (1.0, 1.0),
                                      schwarzian.kappa_field(name))
     r3 = schwarzian.infinitesimal_ceva(vf2, base, eps)
     res.append(abs(r3.s3))
     res.append(abs(r3.c_minus_1) / eps ** 2)
-    return _mx(*res)
+    return res
 
 
-def _t_pentagram_classical(d: Draw, tol: float) -> float:
+def _t_pentagram_classical(d: Draw, tol: float) -> list:
     one = d.ring.one
     pts = [d.scalar() for _ in range(5)]
     y, resids = pentagram.classical_pentagram(pts)
@@ -471,28 +469,28 @@ def _t_pentagram_classical(d: Draw, tol: float) -> float:
         kap = crossratio.cross_ratio(lifts[(i + 1) % 5], lifts[(i + 2) % 5],
                                      lifts[(i + 3) % 5], lifts[(i + 4) % 5], tol)
         res.append((y[i] - (kap - one).inv()).norm())
-    return _mx(*res)
+    return res
 
 
-def _t_pentagram_nc(d: Draw, tol: float) -> float:
+def _t_pentagram_nc(d: Draw, tol: float) -> list:
     p = pentagram.Pentad(*(d.vec2() for _ in range(5)))
     rep = pentagram.pentagram_relations_check(p, tol)
     res = list(rep.residuals)
     # odd relations holding must force the even ones
-    odd = _mx(rep.residuals[0], rep.residuals[2], rep.residuals[4])
-    even = _mx(rep.residuals[1], rep.residuals[3])
+    odd = max(rep.residuals[0::2])
+    even = max(rep.residuals[1::2])
     if odd <= tol and even > 100.0 * (odd + tol):
         res.append(even)
-    return _mx(*res)
+    return res
 
 
-def _t_multiplicative(d: Draw, tol: float) -> float:
+def _t_multiplicative(d: Draw, tol: float) -> list:
     rep = pentagram.multiplicative_relations_check(
         *(d.vec2() for _ in range(5)), tol=tol)
-    return _mx(*rep.residuals)
+    return list(rep.residuals)
 
 
-def _t_leapfrog(d: Draw, tol: float) -> float:
+def _t_leapfrog(d: Draw, tol: float) -> list:
     one = d.ring.one
     sm1, s, sp1, sminus = (d.scalar() for _ in range(4))
     L = ((sp1 - s).inv() * (sminus - s) * (sminus - sm1).inv() * (sp1 - sm1))
@@ -505,7 +503,7 @@ def _t_leapfrog(d: Draw, tol: float) -> float:
                else 1.0)
     res.append(1.0 if pentagram.leapfrog_compatible(sm1, s, sp1, sminus,
                                                     splus + one + one) else 0.0)
-    return _mx(*res)
+    return res
 
 
 @dataclass(frozen=True)
@@ -568,13 +566,14 @@ def list_suites():
 
 
 def _run_trial(spec: SuiteSpec, ring: Ring, cfg: SuiteConfig, idx: int):
-    """(residual, logged inputs); the residual is None for a skipped trial."""
+    """(worst residual, the trial's Draw); the residual is None for a
+    skipped trial and NaN when any of the trial's residuals is NaN."""
     d = Draw(ring, cfg.seed, idx)
     try:
-        residual = spec.trial(d, cfg.tol)
+        res = spec.trial(d, cfg.tol)
     except (UndefinedExpression, NumericalBreakdown):
-        residual = None
-    return residual, [scalar_to_json(s) for s in d.log]
+        return None, d
+    return (math.nan if any(r != r for r in res) else max(res)), d
 
 
 def run_suite(cfg: SuiteConfig, workers: int = 1) -> Report:
@@ -593,18 +592,17 @@ def run_suite(cfg: SuiteConfig, workers: int = 1) -> Report:
     max_res = 0.0
     failures = []
     for idx in range(cfg.trials):
-        residual, inputs = _run_trial(spec, ring, cfg, idx)
+        residual, d = _run_trial(spec, ring, cfg, idx)
         if residual is None:
             skipped += 1
             if cfg.skip_policy == "fail":
-                failures.append(Failure(idx, None, inputs))
+                failures.append(Failure(idx, None, d.inputs()))
             continue
-        if not math.isfinite(residual):  # NaN would slip past max and > tol
-            failures.append(Failure(idx, residual, inputs))
-            continue
-        max_res = max(max_res, residual)
-        if residual > cfg.tol:
-            failures.append(Failure(idx, residual, inputs))
+        if math.isfinite(residual):  # NaN would slip past max and > tol
+            max_res = max(max_res, residual)
+            if residual <= cfg.tol:
+                continue
+        failures.append(Failure(idx, residual, d.inputs()))
 
     notes = ""
     passed = not failures
@@ -612,7 +610,5 @@ def run_suite(cfg: SuiteConfig, workers: int = 1) -> Report:
         passed = False
         notes = (f"skipped fraction {skipped / cfg.trials:.3f} exceeds "
                  f"ceiling {SKIP_CEILING}")
-    return Report(cfg.suite, cfg.ring if cfg.ring != "matrix"
-                  else f"matrix({cfg.dim})",
-                  cfg.trials - skipped, skipped, max_res, failures, passed,
-                  time.perf_counter() - start, notes)
+    return Report(cfg.suite, ring.name, cfg.trials - skipped, skipped,
+                  max_res, failures, passed, time.perf_counter() - start, notes)

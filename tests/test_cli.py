@@ -383,6 +383,20 @@ def test_malformed_matrix_exit_1(capsys, tmp_path, op, name):
     assert json.loads(out) == {"error": error, "message": message}
 
 
+@pytest.mark.parametrize("op, payload, message", [
+    ("nc_schwarzian", {"coeffs": []}, "coeffs needs at least one scalar"),
+    ("pentagram_nc", {"vectors": [pair(*qs(2))] * 4},
+     "pentagram_nc needs exactly 5 vectors"),
+    ("pentagram_nc", {"vectors": [pair(*qs(2))] * 6},
+     "pentagram_nc needs exactly 5 vectors"),
+])
+def test_wrong_input_length_names_the_field(capsys, tmp_path, op, payload,
+                                            message):
+    code, out = compute(capsys, tmp_path, op, payload)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("bad", [
     {"ring": "quaternion", "coeffs": [float("nan"), 0.0, 0.0, 1.0]},
     {"ring": "complex", "re": 1.0, "im": float("inf")},

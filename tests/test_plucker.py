@@ -216,3 +216,13 @@ def test_each_triple_is_evaluated_once_per_trial(suite, monkeypatch):
         sys.setprofile(None)
     assert trial == 20
     assert evaluations == len(asked) > 0
+
+
+@pytest.mark.parametrize("ring", ["quaternion", "complex", "rational"])
+def test_menelaus_leaves_the_memo_empty(ring):
+    """menelaus lifts its points into fresh columns on every call, which
+    could never hit the memo; as plain tuples they store nothing there."""
+    plucker._memo.clear()
+    report = run_suite(SuiteConfig("menelaus", ring, trials=5, seed=0))
+    assert report.trials_run > 0
+    assert plucker._memo == {}
