@@ -23,7 +23,7 @@ from .linalg import quasidet
 from .pentagram import (Pentad, classical_pentagram, leapfrog_compatible,
                         pentagram_relations_check)
 from .plucker import Vec2, qp_left, qp_right
-from .scalars import scalar_from_json, scalar_to_json
+from .scalars import Scalar, scalar_from_json, scalar_to_json
 from .schwarzian import nc_schwarzian
 from .suites import SuiteConfig, list_suites, run_suite
 
@@ -45,6 +45,9 @@ def _dump(obj) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, Scalar):
+        raise TypeError(f"a scalar is encoded by scalar_to_json, not dumped "
+                        f"bare: {obj!r}")
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -58,17 +61,75 @@ def _emit(obj, fh=None):
 
 
 # ---------------------------------------------------------------------------
-# input decoding
+# input decoding: each value is checked to have the JSON shape its decoder
+# reads, so a missing field or a wrong type is a ValueError naming the field
+# by its path in the input, such as ``points[0].x2``
 
 
-def _vec2(obj) -> Vec2:
-    return Vec2(scalar_from_json(obj["x1"]), scalar_from_json(obj["x2"]))
+def _at(path: str, key) -> str:
+    """The path of ``key`` inside the value at ``path``."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
 
 
-def _matrix(obj) -> list[list]:
-    """The rows of a JSON matrix: at least one row, all of one non-zero
-    length, and agreeing with the optional ``rows``/``cols`` fields."""
-    rows = [[scalar_from_json(v) for v in row] for row in obj["entries"]]
+def _field(obj, path: str, key: str):
+    """Field ``key`` of the JSON object at ``path`` ("" for the input)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"field {path!r} must be a JSON object" if path
+                         else "input must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"missing field {_at(path, key)!r}")
+    return obj[key]
+
+
+def _seq(value, path: str, decode) -> list:
+    """The JSON list at ``path``, decoded entry by entry with
+    ``decode(entry, path)``."""
+    if not isinstance(value, list):
+        raise ValueError(f"field {path!r} must be a list")
+    return [decode(v, _at(path, i)) for i, v in enumerate(value)]
+
+
+def _list(obj, path: str, key: str, decode) -> list:
+    return _seq(_field(obj, path, key), _at(path, key), decode)
+
+
+def _scalar(obj, path: str):
+    """The scalar at ``path``; the checks of ``scalar_from_json`` keep
+    their own messages."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"field {path!r} must be a scalar object")
+    try:
+        return scalar_from_json(obj)
+    except KeyError as e:
+        raise ValueError(f"missing field {e.args[0]!r} in the scalar at "
+                         f"{path!r}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed scalar at {path!r}: {e}") from None
+
+
+def _index(data, key: str) -> int:
+    """Field ``key``: an integer, or a float with an integral value."""
+    v = _field(data, "", key)
+    integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not integral:
+        raise ValueError(f"field {key!r} must be an integer")
+    return int(v)
+
+
+def _vec2(obj, path: str) -> Vec2:
+    return Vec2(*(_scalar(_field(obj, path, key), _at(path, key))
+                  for key in ("x1", "x2")))
+
+
+def _matrix(data) -> list[list]:
+    """The rows of the input's JSON ``matrix``: at least one row, all of one
+    non-zero length, and agreeing with the optional ``rows``/``cols``
+    fields."""
+    obj = _field(data, "", "matrix")
+    rows = _list(obj, "matrix", "entries",
+                 lambda row, path: _seq(row, path, _scalar))
     if not rows:
         raise DimensionMismatch("empty matrix")
     cols = len(rows[0])
@@ -83,17 +144,17 @@ def _matrix(obj) -> list[list]:
 
 def _items(data, key: str, decode, n: int, op: str) -> list:
     """``data[key]`` decoded entry by entry; ``op`` needs exactly ``n``."""
-    items = [decode(v) for v in data[key]]
+    items = _list(data, "", key, decode)
     if len(items) != n:
         raise ValueError(f"{op} needs exactly {n} {key}")
     return items
 
 
-def _jet(obj) -> Jet:
-    coeffs = [scalar_from_json(c) for c in obj["coeffs"]]
+def _jet(data) -> Jet:
+    coeffs = _list(data, "", "coeffs", _scalar)
     if not coeffs:
         raise ValueError("coeffs needs at least one scalar")
-    if obj.get("order", len(coeffs) - 1) != len(coeffs) - 1:
+    if data.get("order", len(coeffs) - 1) != len(coeffs) - 1:
         raise ValueError("order field disagrees with coeffs")
     return Jet(coeffs)
 
@@ -108,19 +169,19 @@ def _op_cross_ratio(data):
 
 
 def _op_quasidet(data):
-    return scalar_to_json(quasidet(_matrix(data["matrix"]),
-                                   int(data["p"]), int(data["q"])))
+    return scalar_to_json(quasidet(_matrix(data), _index(data, "p"),
+                                   _index(data, "q")))
 
 
 def _qp(data, fn, family, n):
-    idx = [int(data[key]) for key in "ijk"]
+    idx = [_index(data, key) for key in "ijk"]
     if not all(0 <= v < n for v in idx):
         raise IndexError(f"indices {idx} out of range for {n} vectors")
     return scalar_to_json(fn(family, *idx))
 
 
 def _op_qp_left(data):
-    rows = _matrix(data["matrix"])
+    rows = _matrix(data)
     if len(rows) != 2:
         raise DimensionMismatch(f"qp_left needs a 2 x n matrix, not "
                                 f"{len(rows)} x {len(rows[0])}")
@@ -128,7 +189,7 @@ def _op_qp_left(data):
 
 
 def _op_qp_right(data):
-    rows = _matrix(data["matrix"])
+    rows = _matrix(data)
     if len(rows[0]) != 2:
         raise DimensionMismatch(f"qp_right needs an n x 2 matrix, not "
                                 f"{len(rows)} x {len(rows[0])}")
@@ -136,7 +197,7 @@ def _op_qp_right(data):
 
 
 def _op_dv(data):
-    quad = PolarizationQuad(*(scalar_from_json(data[k])
+    quad = PolarizationQuad(*(_scalar(_field(data, "", k), k)
                               for k in ("P1", "P2", "Q1", "Q2")))
     return scalar_to_json(dv(quad))
 
@@ -151,7 +212,7 @@ def _op_schwarzian(data):
 
 
 def _op_pentagram_classical(data):
-    pts = [scalar_from_json(p) for p in data["points"]]
+    pts = _list(data, "", "points", _scalar)
     y, residuals = classical_pentagram(pts)
     return {"y": [scalar_to_json(v) for v in y],
             "residuals": list(residuals)}
@@ -165,7 +226,7 @@ def _op_pentagram_nc(data):
 
 
 def _op_leapfrog(data):
-    pts = _items(data, "points", scalar_from_json, 5, "leapfrog")
+    pts = _items(data, "points", _scalar, 5, "leapfrog")
     return {"compatible": leapfrog_compatible(*pts)}
 
 

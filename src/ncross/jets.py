@@ -3,18 +3,47 @@
 A Jet stores raw derivative coefficients (f(0), f'(0), ..., f^(K)(0)),
 not Taylor coefficients.  Products use the Leibniz rule in order
 (left factor derivatives stay on the left) so everything works over
-quaternions and matrix scalars."""
+quaternions and matrix scalars.
+
+The constants of those rules are ring scalars built once and cached: the
+binomial rows C(m, k) per (ring, order), and the Taylor weights s^k / k!
+of ``Jet.eval`` per (ring, s, order)."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, NotInvertible
 from .scalars import Ring, Scalar
 
 DEFAULT_ORDER = 6
+
+#: (ring, s, order) weight tables ``Jet.eval`` keeps; least recently used
+#: first out
+EVAL_CACHE_CAP = 256
+
+
+@lru_cache(maxsize=64)
+def binomials(ring: Ring, order: int) -> tuple:
+    """Rows m = 0..order of C(m, k), k = 0..m, as scalars of ``ring``."""
+    return tuple(tuple(ring.from_real(math.comb(m, k)) for k in range(m + 1))
+                 for m in range(order + 1))
+
+
+@lru_cache(maxsize=EVAL_CACHE_CAP, typed=True)
+def _taylor_weights(ring: Ring, s, order: int) -> tuple:
+    """s^k / k! for k = 0..order as scalars of ``ring``: exact for an int
+    or Fraction s, floats otherwise.  The cache is typed because
+    Fraction(1, 8) == 0.125 and both hash alike, yet they take different
+    paths to different bits."""
+    if isinstance(s, (int, Fraction)):
+        ws = (Fraction(s) ** k / math.factorial(k) for k in range(order + 1))
+    else:
+        ws = (s ** k / math.factorial(k) for k in range(order + 1))
+    return tuple(map(ring.from_real, ws))
 
 
 class Jet:
@@ -68,12 +97,13 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             n = self._match(other)
+            a, b = self.coeffs, other.coeffs
+            zero = self.ring.zero
             out = []
-            for m in range(n):
-                acc = self.ring.zero
+            for m, row in enumerate(binomials(self.ring, n - 1)):
+                acc = zero
                 for k in range(m + 1):
-                    acc = acc + self.coeffs[k] * other.coeffs[m - k] * \
-                        self.ring.from_real(math.comb(m, k))
+                    acc = acc + a[k] * b[m - k] * row[k]
                 out.append(acc)
             return Jet(out, self.ring)
         if isinstance(other, Scalar):
@@ -98,12 +128,15 @@ class Jet:
             g0 = self.coeffs[0].inv()
         except NotInvertible as e:
             raise NotInvertible(f"jet value not invertible: {e}") from e
+        f = self.coeffs
+        zero = self.ring.zero
+        rows = binomials(self.ring, self.order)
         out = [g0]
         for n in range(1, len(self)):
-            acc = self.ring.zero
+            row = rows[n]
+            acc = zero
             for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k] * \
-                    self.ring.from_real(math.comb(n, k))
+                acc = acc + f[k] * out[n - k] * row[k]
             out.append(-(g0 * acc))
         return Jet(out, self.ring)
 
@@ -120,12 +153,9 @@ class Jet:
 
     def eval(self, s: float) -> Scalar:
         """Taylor evaluation sum_k f^(k)(0) s^k / k!."""
-        exact = isinstance(s, (int, Fraction))
         acc = self.ring.zero
-        for k, c in enumerate(self.coeffs):
-            w = (Fraction(s) ** k / math.factorial(k) if exact
-                 else s ** k / math.factorial(k))
-            acc = acc + c * self.ring.from_real(w)
+        for c, w in zip(self.coeffs, _taylor_weights(self.ring, s, self.order)):
+            acc = acc + c * w
         return acc
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInvertible
 from .scalars import (INV_COND_MAX, INV_TOL, MAX_SAMPLE_COND, Ring, Scalar,
-                      _coerce, _new, _refuse_non_finite)
+                      _coerce, _refuse_non_finite)
 
 
 class MatScalar(Scalar):
@@ -130,7 +130,7 @@ def _mat(a):
     """A MatScalar owning the fresh complex square array ``a``, skipping the
     copy and the shape check: arithmetic builds one per result."""
     a.setflags(write=False)
-    m = _new(MatScalar)
+    m = object.__new__(MatScalar)
     _set_a(m, a)
     _set_inv(m, None)
     _set_cond(m, None)

@@ -32,6 +32,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 
 from ._stream import Stream
 from .errors import (
@@ -115,16 +117,22 @@ class Scalar:
         raise NotImplementedError
 
 
-class Quaternion(Scalar):
-    """Hamilton quaternion w + xi + yj + zk over the reals."""
+class Quaternion(Scalar, tuple):
+    """Hamilton quaternion w + xi + yj + zk over the reals, stored as the
+    immutable float 4-tuple (w, x, y, z).
 
-    __slots__ = ("w", "x", "y", "z")
+    The tuple is storage only: a quaternion is never equal to a plain
+    tuple, does not order, and adds and multiplies as a quaternion."""
 
-    def __init__(self, w, x=0.0, y=0.0, z=0.0):
-        object.__setattr__(self, "w", float(w))
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "z", float(z))
+    __slots__ = ()
+
+    def __new__(cls, w, x=0.0, y=0.0, z=0.0):
+        return _new(cls, (float(w), float(x), float(y), float(z)))
+
+    w = property(itemgetter(0))
+    x = property(itemgetter(1))
+    y = property(itemgetter(2))
+    z = property(itemgetter(3))
 
     @property
     def ring(self):
@@ -133,101 +141,107 @@ class Quaternion(Scalar):
     def __add__(self, q):
         if not isinstance(q, Quaternion):
             return NotImplemented
-        return _quat(self.w + q.w, self.x + q.x, self.y + q.y, self.z + q.z)
+        a, b, c, d = self
+        e, f, g, h = q
+        return _new(Quaternion, (a + e, b + f, c + g, d + h))
+
+    def __radd__(self, q):
+        # refuses the concatenation tuple + Quaternion would fall back to
+        raise TypeError(f"unsupported operand type(s) for +: "
+                        f"'{type(q).__name__}' and 'Quaternion'")
 
     def __sub__(self, q):
         if not isinstance(q, Quaternion):
             return NotImplemented
-        return _quat(self.w - q.w, self.x - q.x, self.y - q.y, self.z - q.z)
+        a, b, c, d = self
+        e, f, g, h = q
+        return _new(Quaternion, (a - e, b - f, c - g, d - h))
 
     def __neg__(self):
-        return _quat(-self.w, -self.x, -self.y, -self.z)
+        a, b, c, d = self
+        return _new(Quaternion, (-a, -b, -c, -d))
 
     def __mul__(self, q):
         if not isinstance(q, Quaternion):
-            q = _coerce(self.ring, q)
+            q = _coerce(QUATERNION, q)
             if q is None:
                 return NotImplemented
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = q.w, q.x, q.y, q.z
-        return _quat(
+        a, b, c, d = self
+        e, f, g, h = q
+        return _new(Quaternion, (
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
-        )
+        ))
 
     def conj(self):
-        return _quat(self.w, -self.x, -self.y, -self.z)
+        a, b, c, d = self
+        return _new(Quaternion, (a, -b, -c, -d))
 
     def norm(self):
+        w, x, y, z = self
         try:
-            n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+            n2 = w ** 2 + x ** 2 + y ** 2 + z ** 2
         except OverflowError:  # a square beyond the float range
             n2 = math.inf
         # past the float range, or below the normal range where squares
         # lose digits or vanish: hypot scales instead of squaring
         if n2 == math.inf or n2 < _MIN_NORMAL:
-            return math.hypot(self.w, self.x, self.y, self.z)
+            return math.hypot(w, x, y, z)
         return math.sqrt(n2)
 
     def inv(self):
+        w, x, y, z = self
         try:
-            n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+            n2 = w ** 2 + x ** 2 + y ** 2 + z ** 2
         except OverflowError:
             n2 = math.inf
         if n2 == math.inf:
             return self._inv_scaled()
         if not math.sqrt(n2) >= INV_EPS:  # also refuses NaN
             raise NotInvertible("quaternion norm below threshold")
-        return _quat(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _new(Quaternion, (w / n2, -x / n2, -y / n2, -z / n2))
 
     def _inv_scaled(self):
         """The inverse when the squared norm overflows: conj(q/m) over
         m |q/m|^2 with m the largest |component|.  An infinite component
         has no inverse."""
-        parts = (self.w, self.x, self.y, self.z)
-        if not all(map(math.isfinite, parts)):
+        if not all(map(math.isfinite, self)):
             raise NotInvertible("quaternion has an infinite component")
-        m = max(map(abs, parts))
-        w, x, y, z = (c / m for c in parts)
+        m = max(map(abs, self))
+        w, x, y, z = (c / m for c in self)
         n2 = w * w + x * x + y * y + z * z
-        return _quat(w / n2 / m, -x / n2 / m, -y / n2 / m, -z / n2 / m)
+        return _new(Quaternion, (w / n2 / m, -x / n2 / m, -y / n2 / m,
+                                 -z / n2 / m))
 
     def similar(self, b, tol):
         """Exact characterization: equal real part and norm."""
         return abs(self.w - b.w) <= tol and abs(self.norm() - b.norm()) <= tol
 
     def to_json(self):
-        return {"ring": "quaternion", "coeffs": [self.w, self.x, self.y, self.z]}
+        return {"ring": "quaternion", "coeffs": list(self)}
 
     def __repr__(self):
-        return f"Quaternion({self.w:g}, {self.x:g}, {self.y:g}, {self.z:g})"
+        return "Quaternion({:g}, {:g}, {:g}, {:g})".format(*self)
 
     def __eq__(self, q):
-        return (
-            isinstance(q, Quaternion)
-            and (self.w, self.x, self.y, self.z) == (q.w, q.x, q.y, q.z)
-        )
+        return isinstance(q, Quaternion) and tuple.__eq__(self, q)
 
-    def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
+    def __ne__(self, q):
+        return not self.__eq__(q)
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, q):
+        raise TypeError("quaternions are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
-_new = object.__new__
-_set_w, _set_x, _set_y, _set_z = (Quaternion.__dict__[c].__set__
-                                  for c in "wxyz")
-
-
-def _quat(w, x, y, z):
-    """A Quaternion from four floats, skipping ``float()`` and the
-    ``__setattr__`` guard: arithmetic builds one per result."""
-    q = _new(Quaternion)
-    _set_w(q, w)
-    _set_x(q, x)
-    _set_y(q, y)
-    _set_z(q, z)
-    return q
+#: ``_new(Quaternion, (w, x, y, z))`` builds a result from four floats in
+#: one step, skipping ``float()``
+_new = tuple.__new__
 
 
 class _Number(Scalar):
@@ -335,11 +349,11 @@ class Ring:
     name: str
     commutative: bool
 
-    @property
+    @cached_property
     def zero(self):
         return self.from_real(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.from_real(1)
 
@@ -374,7 +388,7 @@ class QuaternionRing(Ring):
         return Quaternion(float(x))
 
     def _draw(self, stream):
-        return _quat(*stream.uniform(4))
+        return _new(Quaternion, stream.uniform(4))
 
 
 class ComplexRing(Ring):
@@ -466,7 +480,7 @@ def scalar_from_json(obj) -> Scalar:
     kind = obj["ring"]
     if kind == "quaternion":
         s = Quaternion(*obj["coeffs"])
-        _refuse_non_finite(kind, (s.w, s.x, s.y, s.z))
+        _refuse_non_finite(kind, s)
     elif kind == "complex":
         s = ComplexScalar(complex(obj["re"], obj.get("im", 0.0)))
         _refuse_non_finite(kind, (s.v,))

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
                      NotInvertible, NumericalBreakdown, PointsTooClose,
                      QuadratureFailure, UndefinedExpression)
-from .jets import DEFAULT_ORDER, Jet
+from .jets import DEFAULT_ORDER, Jet, binomials
 from .plucker import qp_right
 from .scalars import DEFAULT_ATOL, Scalar
 
@@ -84,11 +85,12 @@ def propagate_left(a: Jet, b: Jet, f0: Scalar, f1: Scalar,
     from the left) with f(0) = f0, f'(0) = f1."""
     c = [f0, f1]
     ring = f0.ring
+    rows = binomials(ring, order)
     for n in range(order - 1):
+        row = rows[n]
         acc = ring.zero
         for k in range(n + 1):
-            cnk = math.comb(n, k)
-            acc = acc + cnk * (a[k] * c[n + 1 - k] + b[k] * c[n - k])
+            acc = acc + row[k] * (a[k] * c[n + 1 - k] + b[k] * c[n - k])
         c.append(-acc)
     return Jet(c, ring)
 
@@ -98,10 +100,12 @@ def propagate_right(r: Jet, f0: Scalar, f1: Scalar,
     """Jet of the solution of f'' = f r (coefficient on the right)."""
     c = [f0, f1]
     ring = f0.ring
+    rows = binomials(ring, order)
     for n in range(order - 1):
+        row = rows[n]
         acc = ring.zero
         for k in range(n + 1):
-            acc = acc + math.comb(n, k) * (c[k] * r[n - k])
+            acc = acc + row[k] * (c[k] * r[n - k])
         c.append(acc)
     return Jet(c, ring)
 
@@ -135,13 +139,22 @@ def propagate_gauge(a: Jet) -> Jet:
     """h with h' = (1/2) h a and h(0) = 1, to one order above a; this
     gauge kills the first coefficient of the ODE."""
     ring = a.ring
+    rows = binomials(ring, a.order)
+    half = _half(ring)
     c = [ring.one]
     for n in range(a.order + 1):
+        row = rows[n]
         acc = ring.zero
         for k in range(n + 1):
-            acc = acc + math.comb(n, k) * (c[k] * a[n - k])
-        c.append(Fraction(1, 2) * acc)
+            acc = acc + row[k] * (c[k] * a[n - k])
+        c.append(half * acc)
     return Jet(c, ring)
+
+
+@cache
+def _half(ring):
+    """1/2 in ``ring``, built once per ring."""
+    return ring.from_real(Fraction(1, 2))
 
 
 class GaugeReport(NamedTuple):

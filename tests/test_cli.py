@@ -16,7 +16,8 @@ from ncross.linalg import quasidet
 from ncross.pentagram import (Pentad, classical_pentagram, leapfrog_compatible,
                               pentagram_relations_check)
 from ncross.plucker import Vec2, qp_left, qp_right
-from ncross.scalars import COMPLEX, QUATERNION, Seed, sample, scalar_to_json
+from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, Seed, matrix_ring,
+                            sample, scalar_to_json)
 from ncross.schwarzian import nc_schwarzian
 
 
@@ -397,6 +398,43 @@ def test_wrong_input_length_names_the_field(capsys, tmp_path, op, payload,
     assert json.loads(out) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("op, payload, message", [
+    ("collinear", {"points": [[1, 2]]}, "field 'points[0]' must be a JSON object"),
+    ("leapfrog", {"points": 5}, "field 'points' must be a list"),
+    ("collinear", {"points": [{"x1": rat(1)}] * 3}, "missing field 'points[0].x2'"),
+    ("collinear", {"vectors": []}, "missing field 'points'"),
+    ("leapfrog", {"points": [[1, 2]] * 5}, "field 'points[0]' must be a scalar object"),
+    ("leapfrog", {"points": [{"ring": "rational"}] * 5},
+     "missing field 'num' in the scalar at 'points[0]'"),
+    ("leapfrog", {"points": [{"ring": "matrix", "entries": [[{"im": 1.0}]]}] * 5},
+     "missing field 're' in the scalar at 'points[0]'"),
+    ("dv", {"P1": rat(1), "P2": rat(2), "Q1": rat(3)}, "missing field 'Q2'"),
+    ("quasidet", {"matrix": {"entries": [rat(1)]}, "p": 0, "q": 0},
+     "field 'matrix.entries[0]' must be a list"),
+    ("quasidet", {"matrix": [[rat(1)]], "p": 0, "q": 0},
+     "field 'matrix' must be a JSON object"),
+    ("quasidet", {"matrix": {"entries": [[rat(1)]]}, "p": "0", "q": 0},
+     "field 'p' must be an integer"),
+    ("qp_left", {"matrix": {"entries": [[rat(1)] * 3] * 2}, "i": 0, "j": 1,
+                 "k": 1.5}, "field 'k' must be an integer"),
+    ("nc_schwarzian", [1, 2], "input must be a JSON object"),
+])
+def test_wrong_input_shape_names_the_field(capsys, tmp_path, op, payload,
+                                           message):
+    code, out = compute(capsys, tmp_path, op, payload)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message}
+
+
+def test_malformed_scalar_names_the_field(capsys, tmp_path):
+    bad = {"ring": "quaternion", "coeffs": 5}
+    code, out = compute(capsys, tmp_path, "leapfrog", {"points": [bad] * 5})
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError"
+    assert doc["message"].startswith("malformed scalar at 'points[0]': ")
+
+
 @pytest.mark.parametrize("bad", [
     {"ring": "quaternion", "coeffs": [float("nan"), 0.0, 0.0, 1.0]},
     {"ring": "complex", "re": 1.0, "im": float("inf")},
@@ -426,6 +464,17 @@ def test_dump_rejects_non_finite():
     for x in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             _dump({"residual": x})
+
+
+@pytest.mark.parametrize("ring", [QUATERNION, COMPLEX, matrix_ring(2),
+                                  RATIONAL], ids=lambda r: r.name)
+def test_dump_refuses_a_bare_scalar(ring):
+    # a scalar is not a list, even when it stores its entries in a tuple
+    a = sample(ring, Seed(2, 0))
+    for obj in (a, [a], {"x": a}, (ring.one, a)):
+        with pytest.raises(TypeError, match="scalar_to_json"):
+            _dump(obj)
+    assert _dump(scalar_to_json(a)) == _dump(a.to_json())
 
 
 def test_verify_skip_policy_fail_is_valid_json(capsys):

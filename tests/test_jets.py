@@ -1,11 +1,16 @@
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncross import jets, schwarzian
 from ncross.jets import (Jet, cos_jet, exp_jet, jet_from_function, moebius_jet,
                          sin_jet, tan_jet)
-from ncross.scalars import COMPLEX, QUATERNION, RATIONAL, Seed, sample
+from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, QuaternionRing,
+                            Seed, matrix_ring, sample)
+from ncross.suites import SuiteConfig, run_suite
 
 
 def qjet(seed, order=4):
@@ -86,3 +91,125 @@ def test_product_associative(s1, s2):
     rhs = f * (g * h)
     for u, v in zip(lhs.coeffs, rhs.coeffs):
         assert (u - v).norm() < 1e-9 * (1 + v.norm())
+
+
+# ---------------------------------------------------------------------------
+# the cached constant tables against the formulas they replace
+
+
+def _old_mul(f, g):
+    out = []
+    for m in range(len(f)):
+        acc = f.ring.from_real(0)
+        for k in range(m + 1):
+            acc = acc + f[k] * g[m - k] * f.ring.from_real(math.comb(m, k))
+        out.append(acc)
+    return out
+
+
+def _old_inv(f):
+    g0 = f[0].inv()
+    out = [g0]
+    for n in range(1, len(f)):
+        acc = f.ring.from_real(0)
+        for k in range(1, n + 1):
+            acc = acc + f[k] * out[n - k] * f.ring.from_real(math.comb(n, k))
+        out.append(-(g0 * acc))
+    return out
+
+
+def _old_eval(f, s):
+    exact = isinstance(s, (int, Fraction))
+    acc = f.ring.from_real(0)
+    for k, c in enumerate(f.coeffs):
+        w = (Fraction(s) ** k / math.factorial(k) if exact
+             else s ** k / math.factorial(k))
+        acc = acc + c * f.ring.from_real(w)
+    return acc
+
+
+def _bits(x):
+    """Every bit of a scalar: float hex for the float rings, the raw array
+    for matrices, the exact value for rationals."""
+    if hasattr(x, "a"):
+        return x.a.tobytes()
+    if x.ring is COMPLEX:
+        return x.v.real.hex(), x.v.imag.hex()
+    if x.ring is RATIONAL:
+        return x.v
+    return tuple(map(float.hex, x))
+
+
+_BIT_RINGS = [QUATERNION, COMPLEX, RATIONAL, matrix_ring(2)]
+
+
+@pytest.mark.parametrize("ring", _BIT_RINGS, ids=lambda r: r.name)
+def test_constant_tables_keep_every_bit(ring):
+    for seed in range(6):
+        f = Jet([sample(ring, Seed(40 + seed, k)) for k in range(7)], ring)
+        g = Jet([sample(ring, Seed(80 + seed, k)) for k in range(7)], ring)
+        assert list(map(_bits, (f * g).coeffs)) == list(map(_bits, _old_mul(f, g)))
+        assert list(map(_bits, f.inv().coeffs)) == list(map(_bits, _old_inv(f)))
+        for s in (Fraction(1, 3), 1 / 3, 2, Fraction(0.1), 0.1, 0):
+            if ring is RATIONAL and isinstance(s, float):
+                with pytest.raises(ValueError):
+                    f.eval(s)
+                with pytest.raises(ValueError):
+                    _old_eval(f, s)
+                continue
+            assert _bits(f.eval(s)) == _bits(_old_eval(f, s))
+
+
+def test_eval_cache_keeps_the_type_of_s():
+    # equal and hashing alike, yet the exact path and the float path differ
+    assert Fraction(0.1) == 0.1 and hash(Fraction(0.1)) == hash(0.1)
+    f = Jet([sample(QUATERNION, Seed(3, k)) for k in range(7)], QUATERNION)
+    for s in (Fraction(0.1), 0.1, Fraction(0.1)):
+        assert _bits(f.eval(s)) == _bits(_old_eval(f, s))
+    # 0.1 ** 3 / 3! rounds twice, the exact weight once
+    assert (jets._taylor_weights(QUATERNION, Fraction(0.1), 6)
+            != jets._taylor_weights(QUATERNION, 0.1, 6))
+    r = Jet([RATIONAL.from_real(v) for v in (1, 2, 6)], RATIONAL)
+    assert r.eval(Fraction(1, 8)) == RATIONAL.from_real(Fraction(83, 64))
+    with pytest.raises(ValueError):  # a float weight is refused exactly
+        r.eval(0.125)
+
+
+def test_eval_cache_stays_within_its_cap():
+    f = Jet([QUATERNION.one] * 3, QUATERNION)
+    for n in range(jets.EVAL_CACHE_CAP + 50):
+        f.eval(n / 7)
+    info = jets._taylor_weights.cache_info()
+    assert info.maxsize == jets.EVAL_CACHE_CAP
+    assert info.currsize <= jets.EVAL_CACHE_CAP
+
+
+#: the suites of the jets-schwarzian benchmark workload
+_JET_SUITES = ("schwarzian-expansion", "ode-roundtrip", "gauge-theorem",
+               "schwarzian-equation", "ceva-infinitesimal")
+
+
+def test_jet_products_build_no_constants(monkeypatch):
+    """After one warm-up trial, no ring constant is built under a jet
+    product, inverse, evaluation or ODE propagation."""
+    hot = {fn.__code__ for fn in (
+        Jet.__mul__, Jet.inv, Jet.eval, schwarzian.propagate_left,
+        schwarzian.propagate_right, schwarzian.propagate_gauge)}
+    from_real = QuaternionRing.from_real
+    built = []
+
+    def counting(ring, x):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in hot:
+            frame = frame.f_back
+        if frame is not None:
+            built.append(frame.f_code.co_name)
+        return from_real(ring, x)
+
+    for suite in _JET_SUITES:
+        run_suite(SuiteConfig(suite=suite, trials=1, seed=0))
+        with monkeypatch.context() as m:
+            m.setattr(QuaternionRing, "from_real", counting)
+            report = run_suite(SuiteConfig(suite=suite, trials=20, seed=1))
+        assert report.trials_run + report.trials_skipped == 20
+    assert built == []

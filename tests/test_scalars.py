@@ -274,6 +274,35 @@ def test_quaternion_results_are_plain_floats_and_immutable():
             r.w = 0.0
 
 
+def test_quaternion_api_lock():
+    """A Quaternion keeps the API of a scalar, whatever stores its floats."""
+    q = Quaternion(1, 2, 3, 4)
+    t = (1.0, 2.0, 3.0, 4.0)
+    for a, b in ((q, t), (t, q), (q, [1.0, 2.0, 3.0, 4.0]), (q, 1.0)):
+        assert not a == b and a != b
+    assert q == Quaternion(1.0, 2.0, 3.0, 4.0) and not q != Quaternion(1, 2, 3, 4)
+    assert q != Quaternion(1, 2, 3, 5) and not q == Quaternion(1, 2, 3, 5)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((q, q), (q, t), (t, q)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        sorted([q, -q])
+    for a, b in ((q, t), (t, q), (q, 1), (1, q)):
+        with pytest.raises(TypeError):
+            a + b
+    for name in "wxyz":
+        with pytest.raises(AttributeError):
+            setattr(q, name, 0.0)
+        with pytest.raises(AttributeError):
+            object.__setattr__(q, name, 0.0)
+    assert (q.w, q.x, q.y, q.z) == t
+    assert q.to_json() == {"ring": "quaternion", "coeffs": [1.0, 2.0, 3.0, 4.0]}
+    assert all(type(v) is float for v in q.to_json()["coeffs"])
+    assert hash(q) == hash(t)
+    assert repr(q) == "Quaternion(1, 2, 3, 4)"
+
+
 # ---------------------------------------------------------------------------
 # the sampling stream against numpy, its definition
 
