@@ -6,6 +6,15 @@ pure Python, so a run that never touches a matrix never loads it.
 ``ring_by_name("matrix")`` and ``scalar_from_json`` import this module on
 first use, and ``ncross.scalars`` forwards ``MatScalar``, ``MatrixRing``
 and ``matrix_ring`` to it.
+
+The hot path calls the LAPACK gufuncs behind ``np.linalg`` directly, with
+the signature and the ``np.errstate`` that ``np.linalg.svd`` and
+``np.linalg.inv`` pass them: ``_umath_linalg.svd`` (``svd_n`` before numpy
+2) for the condition number and ``_umath_linalg.inv`` for the inverse.
+The Frobenius norm is ``np.linalg.norm``'s own ``ord=None`` formula.  The
+wrappers' run-time checks (array conversion, 2-D, square, dtype) are
+``MatScalar`` invariants here, so every result keeps its bits.  This
+module is the only one that names ``_umath_linalg``.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NotInvertible
 from .scalars import (INV_COND_MAX, INV_TOL, MAX_SAMPLE_COND, Ring, Scalar,
@@ -32,7 +42,13 @@ class MatScalar(Scalar):
     function of the object: the first ``inv()`` stores its result, and
     later calls return that same object.  The condition number is computed
     at most once per object as well; a sampled matrix carries the one its
-    ring's guard computed.  Refusals are not stored."""
+    ring's guard computed.  Refusals are not stored.
+
+    ``a`` is always a read-only, 2-D, square complex128 array (``__init__``
+    checks; ``_mat`` is handed only such arrays), which is what lets
+    ``inv`` and ``_cond`` call the ``_umath_linalg`` gufuncs without
+    ``np.linalg``'s conversions and checks, and ``norm`` skip
+    ``np.linalg.norm``'s dispatch."""
 
     __slots__ = ("a", "_inv", "_cond")
 
@@ -61,27 +77,30 @@ class MatScalar(Scalar):
         return q
 
     def __add__(self, q):
-        if self._check(q) is None:
-            return NotImplemented
+        if type(q) is not MatScalar or q.a.shape != self.a.shape:
+            if self._check(q) is None:
+                return NotImplemented
         return _mat(self.a + q.a)
 
     def __sub__(self, q):
-        if self._check(q) is None:
-            return NotImplemented
+        if type(q) is not MatScalar or q.a.shape != self.a.shape:
+            if self._check(q) is None:
+                return NotImplemented
         return _mat(self.a - q.a)
 
     def __neg__(self):
         return _mat(-self.a)
 
     def __mul__(self, q):
-        if self._check(q) is None:
-            q = _coerce(self.ring, q)
-            if q is None:
-                return NotImplemented
+        if type(q) is not MatScalar or q.a.shape != self.a.shape:
+            if self._check(q) is None:
+                q = _coerce(self.ring, q)
+                if q is None:
+                    return NotImplemented
         return _mat(self.a @ q.a)
 
     def norm(self):
-        return float(np.linalg.norm(self.a, "fro"))
+        return _fro(self.a)
 
     def inv(self):
         if self._inv is not None:
@@ -96,8 +115,10 @@ class MatScalar(Scalar):
             _set_cond(self, cond)
         if not math.isfinite(cond) or cond > INV_COND_MAX:
             raise NotInvertible(f"condition {cond:.3g} exceeds {INV_COND_MAX:.3g}")
-        x = np.linalg.inv(a)
-        resid = np.linalg.norm(a @ x - _eye(a.shape[0]))
+        with np.errstate(call=_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            x = _umath_linalg.inv(a, signature="D->D")
+        resid = _fro(a @ x - _eye(a.shape[0]))
         if resid > INV_TOL:
             raise NotInvertible(f"solve residual {resid:.3g}")
         r = _mat(x)
@@ -137,13 +158,39 @@ def _mat(a):
     return m
 
 
+#: the singular values of one square matrix, without U and V
+_svd = (getattr(_umath_linalg, "svd", None)
+        or getattr(_umath_linalg, "svd_n", None))
+if _svd is None:
+    raise ImportError("numpy.linalg._umath_linalg has neither the svd nor "
+                      "the svd_n gufunc")
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _fro(a):
+    """``float(np.linalg.norm(a))``, by its own ``ord=None`` formula."""
+    x = a.ravel("K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _cond(a):
     """``np.linalg.cond(a)`` from one bare SVD: s[0] / s[-1] as IEEE
     division, and NaN turned into inf unless ``a`` holds a NaN.  An SVD
-    that does not converge raises ``LinAlgError``."""
-    s = np.linalg.svd(a, compute_uv=False).tolist()
-    if not s:
+    that does not converge raises ``LinAlgError``, as in ``np.linalg.svd``,
+    whose error state this keeps."""
+    if not a.size:
         raise np.linalg.LinAlgError("cond is not defined on empty arrays")
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        s = _svd(a, signature="D->d").tolist()
     hi, lo = s[0], s[-1]
     try:
         r = hi / lo

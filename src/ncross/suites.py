@@ -268,9 +268,10 @@ def _t_dv_cocycle(d: Draw, tol: float) -> list:
     def DV(a, b, c, e):
         return crossratio.dv(crossratio.PolarizationQuad(a, b, c, e))
 
+    chain = DV(A, X, B, Y) * DV(A, Y, B, Z)
     return [
-        (DV(A, X, B, Y) * DV(A, Y, B, Z) - DV(A, X, B, Z)).norm(),
-        (DV(A, X, B, Y) * DV(A, Y, B, Z) * DV(A, Z, B, X) - one).norm(),
+        (chain - DV(A, X, B, Z)).norm(),
+        (chain * DV(A, Z, B, X) - one).norm(),
     ]
 
 

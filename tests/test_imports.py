@@ -4,7 +4,8 @@ Every name a library module imports is used in that module.  No linter
 ships with the project, so this scans the source itself.  ``__init__.py``
 is exempt: its imports are the package's public names.
 
-numpy sits behind the matrix ring: only ``ncross/matrix.py`` imports it,
+numpy sits behind the matrix ring: only ``ncross/matrix.py`` imports it or
+names it in code (its private ``_umath_linalg`` gufuncs included),
 so a run that touches no matrix never loads it.
 """
 
@@ -63,6 +64,38 @@ def test_only_the_matrix_module_imports_numpy():
                  if "numpy" in _module_level_imports(ast.parse(p.read_text()))]
     assert importers == ["matrix.py"]
 
+
+
+def _code_words(tree: ast.Module):
+    """Every name, attribute, imported module and string constant of the
+    module's code; docstrings and comments are prose, not code."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            yield node.value
+
+
+def test_only_the_matrix_module_names_numpy_in_code():
+    """numpy, and the private ``_umath_linalg`` gufunc module the matrix
+    ring calls, are named in code by ``ncross/matrix.py`` alone, so the
+    binding to numpy's internals sits in one place."""
+    namers = [p.name for p in sorted(_SRC.glob("*.py"))
+              if any("numpy" in w or "_umath_linalg" in w
+                     for w in _code_words(ast.parse(p.read_text())))]
+    assert namers == ["matrix.py"]
 
 def _python(code: str) -> str:
     """Run ``code`` in a fresh interpreter that sees this ncross; its

@@ -1,12 +1,16 @@
 import math
 import operator
 import random
+import struct
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncross._stream import Stream
+from ncross.matrix import _cond, _set_cond
 from ncross.errors import DimensionMismatch, NotInvertible
 from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, ComplexScalar,
                             MatScalar, Quaternion, RationalScalar, Seed,
@@ -452,19 +456,22 @@ def test_matscalar_inv_matches_old_formula_inside_qp_left(monkeypatch):
         _assert_inv_matches_old(m)
 
 
-@pytest.mark.parametrize("entries", [
-    [[0.0, 0.0], [0.0, 0.0]],
-    [[-0.0, 0.0], [0.0, -0.0]],
-    [[1.0, 2.0], [2.0, 4.0]],
-    [[1.0, 0.0], [0.0, 1e-9]],
-    [[1e300, 0.0], [0.0, 1e-300]],
-    [[1.0, 0.0], [0.0, float("nan")]],
-    [[float("nan")] * 2] * 2,
-    [[float("inf"), 0.0], [0.0, 1.0]],
-    [[1.0, float("-inf")], [0.0, 1.0]],
-    np.zeros((0, 0)),
-], ids=["zero", "signed-zero", "rank-1", "cond-1e9", "cond-overflow",
-        "nan-entry", "all-nan", "inf-entry", "minus-inf", "empty"])
+#: matrices that ``inv()`` refuses, by name
+_REFUSED = {
+    "zero": [[0.0, 0.0], [0.0, 0.0]],
+    "signed-zero": [[-0.0, 0.0], [0.0, -0.0]],
+    "rank-1": [[1.0, 2.0], [2.0, 4.0]],
+    "cond-1e9": [[1.0, 0.0], [0.0, 1e-9]],
+    "cond-overflow": [[1e300, 0.0], [0.0, 1e-300]],
+    "nan-entry": [[1.0, 0.0], [0.0, float("nan")]],
+    "all-nan": [[float("nan")] * 2] * 2,
+    "inf-entry": [[float("inf"), 0.0], [0.0, 1.0]],
+    "minus-inf": [[1.0, float("-inf")], [0.0, 1.0]],
+    "empty": np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("entries", _REFUSED.values(), ids=_REFUSED.keys())
 def test_matscalar_inv_refusals_match_old_formula(entries):
     m = MatScalar(entries)
     old = _outcome(_old_inv, m)
@@ -519,6 +526,153 @@ def test_matscalar_sub_is_add_neg():
 def test_matrix_guard_propagates_svd_failure():
     with pytest.raises(np.linalg.LinAlgError):
         matrix_ring(2)._guard(MatScalar([[float("nan"), 0.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the ring's direct LAPACK calls against numpy's public functions, bit for bit
+
+#: the refused matrices, a huge and a tiny invertible one, signed-zero
+#: imaginary parts and three 1 x 1 matrices
+_EDGES = [MatScalar(e) for e in _REFUSED.values()] + [
+    MatScalar(e) for e in (
+        [[1e300, 1e300], [0.0, 1e300]],
+        [[1e-300, 0.0], [-1e-300, 1e-300]],
+        [[complex(1.0, -0.0), complex(-0.0, 2.0)], [0.0, 1.0]],
+        [[2.0]], [[complex(0.0, -3.0)]], [[-0.0]])]
+
+
+#: inf, NaN and 1e300 entries make numpy's own matmul, subtract and dot
+#: warn; the comparisons below make the same calls on both sides
+_numpy_warns_too = pytest.mark.filterwarnings(
+    "ignore:.*encountered in:RuntimeWarning")
+
+def _lean_corpus():
+    """1000 sampled matrix(3) scalars, 5000 derived from them (products,
+    differences, ``a - a``, real parts, transposes held in column-major
+    order), then the edge matrices."""
+    ring = matrix_ring(3)
+    xs = [sample(ring, Seed(37, c)) for c in range(1000)]
+    derived = []
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        derived += [a * b, a - b, a - a, MatScalar(a.a.real), MatScalar(a.a.T)]
+    return xs + derived + _EDGES
+
+
+def _float_outcome(fn, *args):
+    """The float result's IEEE bytes, or the exception's class and
+    message."""
+    try:
+        r = float(fn(*args))
+    except Exception as e:  # noqa: BLE001 - the class is what is compared
+        return type(e), str(e)
+    return struct.pack("<d", r)
+
+
+def _forged(m):
+    """A fresh copy of ``m`` whose condition number reads 1, so that
+    ``inv()`` goes on to invert it whatever it is."""
+    f = MatScalar(m.a)
+    _set_cond(f, 1.0)
+    return f
+
+
+def _np_inv_past_the_guard(m):
+    """``inv()`` after its condition check, by numpy's public functions."""
+    x = np.linalg.inv(m.a)
+    resid = np.linalg.norm(m.a @ x - np.eye(m.dim))
+    if resid > 1e-6:
+        raise NotInvertible(f"solve residual {resid:.3g}")
+    return x
+
+
+@_numpy_warns_too
+def test_lean_norm_matches_numpy():
+    for m in _lean_corpus():
+        assert (_float_outcome(m.norm)
+                == _float_outcome(np.linalg.norm, m.a, "fro"))
+
+
+def test_lean_cond_matches_numpy():
+    for m in _lean_corpus():
+        assert (_float_outcome(_cond, m.a)
+                == _float_outcome(np.linalg.cond, m.a))
+
+
+@_numpy_warns_too
+def test_lean_inverse_matches_numpy_past_the_guard():
+    for m in _lean_corpus()[::5] + _EDGES:
+        m = _forged(m)
+        assert _outcome(m.inv) == _outcome(_np_inv_past_the_guard, m)
+
+
+@_numpy_warns_too
+def test_lean_arithmetic_matches_numpy():
+    ms = _lean_corpus()
+    pairs = list(zip(ms, ms[1:] + ms[:1]))
+    pairs += [(a, b) for a in _EDGES for b in _EDGES if a.dim == b.dim]
+    for a, b in pairs:
+        if a.dim != b.dim:
+            continue
+        for got, want in ((a + b, a.a + b.a), (a - b, a.a - b.a),
+                          (a * b, a.a @ b.a)):
+            assert got.a.tobytes() == want.tobytes()
+        if not a.dim:
+            continue
+        c = (2.5 * np.eye(a.dim)).astype(complex)
+        assert (a * 2.5).a.tobytes() == (a.a @ c).tobytes()
+        assert (2.5 * a).a.tobytes() == (c @ a.a).tobytes()
+
+
+def test_lean_calls_raise_and_never_warn():
+    """The gufuncs run under ``np.linalg``'s error state: a NaN, infinite
+    or singular matrix is refused or raises ``LinAlgError`` as numpy's
+    functions do, and no ``RuntimeWarning`` leaks out.  (The norm of a
+    matrix with entries near 1e300 overflows and warns, in numpy's
+    ``norm`` as here.)"""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("zero", "signed-zero", "rank-1", "nan-entry", "all-nan",
+                     "empty"):
+            MatScalar(_REFUSED[name]).norm()
+        for entries in _REFUSED.values():
+            with pytest.raises(NotInvertible):
+                MatScalar(entries).inv()
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^SVD did not converge$"):
+            _cond(MatScalar(_REFUSED["all-nan"]).a)
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _forged(MatScalar(_REFUSED["zero"])).inv()
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^cond is not defined on empty arrays$"):
+            _cond(MatScalar(_REFUSED["empty"]).a)
+
+
+def test_matscalar_operand_checks():
+    m2 = sample(matrix_ring(2), Seed(3, 0))
+    m3 = sample(matrix_ring(3), Seed(3, 1))
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((m2, m3), (m3, m2)):
+            with pytest.raises(DimensionMismatch):
+                op(a, b)
+    for other in (Quaternion(1), ComplexScalar(1), RationalScalar(1), "x",
+                  None, [[1.0]], np.eye(3), True):
+        assert m3.__add__(other) is NotImplemented
+        assert m3.__sub__(other) is NotImplemented
+        assert m3.__mul__(other) is NotImplemented
+    for x in (2, 2.5, Fraction(1, 3)):
+        assert m3.__add__(x) is NotImplemented
+        assert m3.__sub__(x) is NotImplemented
+        want = m3.a @ (float(x) * np.eye(3)).astype(complex)
+        assert (m3 * x).a.tobytes() == want.tobytes()
+
+    class Sub(MatScalar):
+        __slots__ = ()
+
+    s3 = Sub(m3.a)
+    assert (m3 + s3).a.tobytes() == (m3.a + m3.a).tobytes()
+    assert (m3 * s3).a.tobytes() == (m3.a @ m3.a).tobytes()
+    with pytest.raises(DimensionMismatch):
+        m2 - s3
 
 
 # ---------------------------------------------------------------------------

@@ -67,13 +67,13 @@ def test_verify_negative_seed_exit_2(capsys):
 
 
 def test_nan_in_a_later_identity_fails_trial(monkeypatch, capsys):
-    """dv-cocycle's sixth dv call feeds its second identity, the
+    """dv-cocycle's fourth dv call feeds only its second identity, the
     closed-triple law; a NaN there fails every trial."""
     dv, calls = crossratio.dv, []
 
-    def nan_sixth(quad):
+    def nan_fourth(quad):
         calls.append(quad)
-        return Quaternion(math.nan) if len(calls) == 6 else dv(quad)
+        return Quaternion(math.nan) if len(calls) == 4 else dv(quad)
 
     body = SUITES["dv-cocycle"].trial
 
@@ -81,7 +81,7 @@ def test_nan_in_a_later_identity_fails_trial(monkeypatch, capsys):
         calls.clear()
         return body(d, tol)
 
-    monkeypatch.setattr(crossratio, "dv", nan_sixth)
+    monkeypatch.setattr(crossratio, "dv", nan_fourth)
     monkeypatch.setitem(SUITES, "dv-cocycle",
                         dataclasses.replace(SUITES["dv-cocycle"],
                                             trial=counted))
@@ -92,6 +92,33 @@ def test_nan_in_a_later_identity_fails_trial(monkeypatch, capsys):
     assert [f["counter"] for f in doc["failures"]] == list(range(5))
     assert all(f["residual"] is None for f in doc["failures"])
 
+
+
+@pytest.mark.parametrize("ring", ["quaternion", "matrix"])
+def test_dv_cocycle_makes_four_dv_calls_per_trial(monkeypatch, ring):
+    """The chain DV(A,X,B,Y) * DV(A,Y,B,Z) is built once and serves both
+    identities: four operator cross-ratios per trial, not six."""
+    dv, calls, per_trial = crossratio.dv, [], []
+
+    def counting(quad):
+        calls.append(quad)
+        return dv(quad)
+
+    body = SUITES["dv-cocycle"].trial
+
+    def counted(d, tol):
+        calls.clear()
+        res = body(d, tol)
+        per_trial.append(len(calls))
+        return res
+
+    monkeypatch.setattr(crossratio, "dv", counting)
+    monkeypatch.setitem(SUITES, "dv-cocycle",
+                        dataclasses.replace(SUITES["dv-cocycle"],
+                                            trial=counted))
+    report = run_suite(SuiteConfig("dv-cocycle", ring=ring, trials=20))
+    assert report.trials_run == 20
+    assert len(per_trial) >= 20 and set(per_trial) == {4}
 
 def test_nan_decay_slope_fails_trial(monkeypatch):
     """schwarzian-expansion reports how far the decay slope of its
