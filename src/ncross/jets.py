@@ -5,9 +5,18 @@ not Taylor coefficients.  Products use the Leibniz rule in order
 (left factor derivatives stay on the left) so everything works over
 quaternions and matrix scalars.
 
-The constants of those rules are ring scalars built once and cached: the
-binomial rows C(m, k) per (ring, order), and the Taylor weights s^k / k!
-of ``Jet.eval`` per (ring, s, order)."""
+The constants of those rules are reals in the ring's own type
+(``Ring.real``: floats, or ints and Fractions for the rationals), built
+once and cached: the binomial rows C(m, k) per (ring, order), and the
+Taylor weights s^k / k! of ``Jet.eval`` per (ring, s, order).  They act
+by ``Scalar.scale``, four multiplies on a quaternion where a ring product
+takes sixteen, and a coefficient 1 is skipped (``x * 1.0`` is exact).
+Against products with the same constants as ring scalars, every bit is
+kept except the sign of an exact-zero component and NaN/inf propagation.
+
+A coefficient of order m of a product or an inverse reads only orders up
+to m, in the same sequence, so truncating the operands first keeps its
+bits; callers that read low orders truncate before multiplying."""
 
 from __future__ import annotations
 
@@ -28,22 +37,23 @@ EVAL_CACHE_CAP = 256
 
 @lru_cache(maxsize=64)
 def binomials(ring: Ring, order: int) -> tuple:
-    """Rows m = 0..order of C(m, k), k = 0..m, as scalars of ``ring``."""
-    return tuple(tuple(ring.from_real(math.comb(m, k)) for k in range(m + 1))
+    """Rows m = 0..order of C(m, k), k = 0..m, as reals of ``ring``
+    (``Ring.real``)."""
+    return tuple(tuple(ring.real(math.comb(m, k)) for k in range(m + 1))
                  for m in range(order + 1))
 
 
 @lru_cache(maxsize=EVAL_CACHE_CAP, typed=True)
 def _taylor_weights(ring: Ring, s, order: int) -> tuple:
-    """s^k / k! for k = 0..order as scalars of ``ring``: exact for an int
-    or Fraction s, floats otherwise.  The cache is typed because
-    Fraction(1, 8) == 0.125 and both hash alike, yet they take different
-    paths to different bits."""
+    """s^k / k! for k = 0..order as reals of ``ring`` (``Ring.real``):
+    exact for an int or Fraction s, floats otherwise.  The cache is typed
+    because Fraction(1, 8) == 0.125 and both hash alike, yet they take
+    different paths to different bits."""
     if isinstance(s, (int, Fraction)):
         ws = (Fraction(s) ** k / math.factorial(k) for k in range(order + 1))
     else:
         ws = (s ** k / math.factorial(k) for k in range(order + 1))
-    return tuple(map(ring.from_real, ws))
+    return tuple(map(ring.real, ws))
 
 
 class Jet:
@@ -101,24 +111,29 @@ class Jet:
             zero = self.ring.zero
             out = []
             for m, row in enumerate(binomials(self.ring, n - 1)):
-                acc = zero
-                for k in range(m + 1):
-                    acc = acc + a[k] * b[m - k] * row[k]
+                # C(m, 0) = C(m, m) = 1: the two end terms are not scaled
+                acc = zero + a[0] * b[m]
+                for k in range(1, m):
+                    acc = acc + (a[k] * b[m - k]).scale(row[k])
+                if m:
+                    acc = acc + a[m] * b[0]
                 out.append(acc)
             return Jet(out, self.ring)
         if isinstance(other, Scalar):
             return Jet([a * other for a in self.coeffs], self.ring)
-        if isinstance(other, (int, float, Fraction)):
-            c = self.ring.from_real(other)
-            return Jet([a * c for a in self.coeffs], self.ring)
-        return NotImplemented
+        return self._scaled(other)
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
             return Jet([other * a for a in self.coeffs], self.ring)
+        return self._scaled(other)
+
+    def _scaled(self, other):
+        """The jet times a real number (reals are central), or
+        NotImplemented for anything else."""
         if isinstance(other, (int, float, Fraction)):
-            c = self.ring.from_real(other)
-            return Jet([c * a for a in self.coeffs], self.ring)
+            r = self.ring.real(other)
+            return Jet([a.scale(r) for a in self.coeffs], self.ring)
         return NotImplemented
 
     def inv(self) -> "Jet":
@@ -135,8 +150,9 @@ class Jet:
         for n in range(1, len(self)):
             row = rows[n]
             acc = zero
-            for k in range(1, n + 1):
-                acc = acc + f[k] * out[n - k] * row[k]
+            for k in range(1, n):
+                acc = acc + (f[k] * out[n - k]).scale(row[k])
+            acc = acc + f[n] * out[0]  # C(n, n) = 1
             out.append(-(g0 * acc))
         return Jet(out, self.ring)
 
@@ -155,7 +171,7 @@ class Jet:
         """Taylor evaluation sum_k f^(k)(0) s^k / k!."""
         acc = self.ring.zero
         for c, w in zip(self.coeffs, _taylor_weights(self.ring, s, self.order)):
-            acc = acc + c * w
+            acc = acc + (c if w == 1 else c.scale(w))
         return acc
 
 

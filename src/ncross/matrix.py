@@ -11,10 +11,11 @@ The hot path calls the LAPACK gufuncs behind ``np.linalg`` directly, with
 the signature and the ``np.errstate`` that ``np.linalg.svd`` and
 ``np.linalg.inv`` pass them: ``_umath_linalg.svd`` (``svd_n`` before numpy
 2) for the condition number and ``_umath_linalg.inv`` for the inverse.
-The Frobenius norm is ``np.linalg.norm``'s own ``ord=None`` formula.  The
-wrappers' run-time checks (array conversion, 2-D, square, dtype) are
-``MatScalar`` invariants here, so every result keeps its bits.  This
-module is the only one that names ``_umath_linalg``.
+The Frobenius norm is ``np.linalg.norm``'s own ``ord=None`` formula while
+its sum of squares is a normal float, and a rescaled sum beyond that
+range (``_fro``).  The wrappers' run-time checks (array conversion, 2-D,
+square, dtype) are ``MatScalar`` invariants here, so every result keeps
+its bits.  This module is the only one that names ``_umath_linalg``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NotInvertible
 from .scalars import (INV_COND_MAX, INV_TOL, MAX_SAMPLE_COND, Ring, Scalar,
-                      _coerce, _refuse_non_finite)
+                      _MIN_NORMAL, _real, _refuse_non_finite)
 
 
 class MatScalar(Scalar):
@@ -53,7 +54,9 @@ class MatScalar(Scalar):
     __slots__ = ("a", "_inv", "_cond")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=complex)
+        # row-major, like every array arithmetic builds: norm() sums in
+        # memory order, so equal entries get equal bits
+        a = np.array(entries, dtype=complex, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("MatScalar requires a square array")
         a.setflags(write=False)
@@ -94,10 +97,12 @@ class MatScalar(Scalar):
     def __mul__(self, q):
         if type(q) is not MatScalar or q.a.shape != self.a.shape:
             if self._check(q) is None:
-                q = _coerce(self.ring, q)
-                if q is None:
-                    return NotImplemented
+                r = _real(self.ring, q)
+                return NotImplemented if r is None else self.scale(r)
         return _mat(self.a @ q.a)
+
+    def scale(self, r):
+        return _mat(self.a * r)
 
     def norm(self):
         return _fro(self.a)
@@ -174,11 +179,31 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+#: ``np.vdot`` behind its ``__array_function__`` dispatch, which a plain
+#: ndarray does not need
+_vdot = np.vdot._implementation
+
+
 def _fro(a):
-    """``float(np.linalg.norm(a))``, by its own ``ord=None`` formula."""
+    """``float(np.linalg.norm(a))``, by its own ``ord=None`` formula, when
+    the sum of squares is a normal float.  Past the float range, or below
+    its normal range where squares lose digits or vanish, the sum is
+    redone on the entries divided by their largest part, as
+    ``Quaternion.norm`` does with hypot.
+
+    ``np.vdot`` runs the same BLAS ``ddot`` as ``ndarray.dot`` without
+    dot's floating-point-error check, so an overflowing sum comes back inf
+    with no ``RuntimeWarning``."""
     x = a.ravel("K")
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    s = _vdot(re, re) + _vdot(im, im)
+    if s == math.inf or s < _MIN_NORMAL:
+        m = max(np.abs(re).max(initial=0.0), np.abs(im).max(initial=0.0))
+        if m == 0 or m == math.inf:
+            return float(m)
+        re, im = re / m, im / m
+        return math.sqrt(re.dot(re) + im.dot(im)) * float(m)
+    return math.sqrt(s)
 
 
 def _cond(a):

@@ -2,11 +2,11 @@
 the pure-Python rings of quaternions, complex and rational numbers.
 
 Every scalar is immutable, carries a reference to its ring, and supports
-``+ - * neg``, ``inv()``, ``norm()``, ``approx_eq()``, ``similar()`` and
-``to_json()``.  Immutability is enforced once, in the :class:`Scalar`
-base: every class declares ``__slots__``, so no scalar has an instance
-``__dict__``, and the base refuses every attribute write or deletion
-(constructors fill the slots directly).
+``+ - * neg``, ``scale()``, ``inv()``, ``norm()``, ``approx_eq()``,
+``similar()`` and ``to_json()``.  Immutability is enforced once, in the
+:class:`Scalar` base: every class declares ``__slots__``, so no scalar has
+an instance ``__dict__``, and the base refuses every attribute write or
+deletion (constructors fill the slots directly).
 
 The fourth ring, d x d complex matrices, lives in :mod:`ncross.matrix`,
 the only module that imports numpy.  It is loaded on first use:
@@ -16,6 +16,14 @@ module forwards.  Matrices are a noncommutative ring with zero divisors
 rather than a division ring, so ``inv()`` may raise
 :class:`NotInvertible`; callers treat that as "the expression is
 undefined here" and move on.
+
+A real number acts on a scalar by ``scale(r)``, which multiplies every
+component by ``r``, the real in its ring's own type (``Ring.real``: a
+float, or an int or ``Fraction`` for the rationals).  ``x * 2``,
+``Fraction(3, 2) * x`` and the like go there rather than through a ring
+product with ``from_real(r)``.  The two agree bit for bit except in the
+sign of an exact-zero component and in NaN/inf propagation, which the
+product's extra ``x * 0`` terms affect.
 
 Sampling contract: ``sample(ring, Seed(s, c))`` is the draw numpy's
 ``Generator(PCG64(SeedSequence(s, spawn_key=(c,))))`` makes for that ring
@@ -70,10 +78,11 @@ class Seed:
     counter: int = 0
 
 
-def _coerce(ring, x):
-    """Lift plain numbers into the ring; None when x is not a number."""
+def _real(ring, x):
+    """x as a real coefficient of ``ring`` (``Ring.real``); None when x is
+    not a number."""
     if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
-        return ring.from_real(x)
+        return ring.real(x)
     return None
 
 
@@ -89,10 +98,14 @@ class Scalar:
     __delattr__ = __setattr__
 
     def __rmul__(self, other):
-        c = _coerce(self.ring, other)
-        if c is None:
+        r = _real(self.ring, other)
+        if r is None:
             return NotImplemented
-        return c * self
+        return self.scale(r)
+
+    def scale(self, r):
+        """This scalar times the real ``r``, a value of ``Ring.real``."""
+        raise NotImplementedError
 
     def inv(self):
         raise NotImplementedError
@@ -163,9 +176,8 @@ class Quaternion(Scalar, tuple):
 
     def __mul__(self, q):
         if not isinstance(q, Quaternion):
-            q = _coerce(QUATERNION, q)
-            if q is None:
-                return NotImplemented
+            r = _real(QUATERNION, q)
+            return NotImplemented if r is None else self.scale(r)
         a, b, c, d = self
         e, f, g, h = q
         return _new(Quaternion, (
@@ -174,6 +186,10 @@ class Quaternion(Scalar, tuple):
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
         ))
+
+    def scale(self, r):
+        a, b, c, d = self
+        return _new(Quaternion, (a * r, b * r, c * r, d * r))
 
     def conj(self):
         a, b, c, d = self
@@ -266,10 +282,12 @@ class _Number(Scalar):
 
     def __mul__(self, q):
         if not isinstance(q, type(self)):
-            q = _coerce(self.ring, q)
-            if q is None:
-                return NotImplemented
+            r = _real(self.ring, q)
+            return NotImplemented if r is None else self.scale(r)
         return type(self)(self.v * q.v)
+
+    def scale(self, r):
+        return type(self)(self.v * r)
 
     def __eq__(self, q):
         return isinstance(q, type(self)) and self.v == q.v
@@ -361,6 +379,11 @@ class Ring:
         """Embed an exact int/Fraction (or float, where the ring is inexact)."""
         raise NotImplementedError
 
+    def real(self, x):
+        """The real number x in the type ``scale`` takes: a float, which
+        rounds an int or Fraction as ``from_real`` does."""
+        return float(x)
+
     def sample(self, seed: Seed) -> Scalar:
         """Draw a deterministic guard-passing scalar for (seed, counter)."""
         stream = Stream(seed.seed, seed.counter)
@@ -407,9 +430,15 @@ class RationalRing(Ring):
     commutative = True
 
     def from_real(self, x):
-        if isinstance(x, float) and not x.is_integer():
-            raise ValueError("RationalRing accepts exact values only")
-        return RationalScalar(Fraction(x))
+        return RationalScalar(self.real(x))
+
+    def real(self, x):
+        """An int or Fraction as it is; a float only when it is integral."""
+        if isinstance(x, float):
+            if not x.is_integer():
+                raise ValueError("RationalRing accepts exact values only")
+            return int(x)
+        return x
 
     def _draw(self, stream):
         # dyadic grid on [-1, 1]; exact, well spread, and fine enough that

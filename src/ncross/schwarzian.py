@@ -10,13 +10,16 @@ form in the derivatives of log kappa; the eps^2 coefficient is
 identically zero.  Points, directions and kappa's derivatives there are
 plain tuples of floats with the 2-vector arithmetic written out, so the
 module needs no numpy.
+
+Real constants (binomials, 1/2, 3/2, ...) act on ring scalars by
+``Scalar.scale``, and each check builds its jets only to the orders it
+reads; both keep every bit of the results (module jets).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
@@ -71,7 +74,7 @@ def expansion_check(z: Jet, t: float, t1: float, t2: float,
     kernel = Fraction(1, 6) * (w * z[3]) - Fraction(1, 4) * (u * u)
     pref = ((t1 - t) * (t3 - t2)) / ((t2 - t1) * (t - t3))
     one = z.ring.one
-    rhs = z.ring.from_real(pref) * (one + ((t2 - t) * (t3 - t1)) * kernel)
+    rhs = pref * (one + ((t2 - t) * (t3 - t1)) * kernel)
     return ExpansionCheck(lhs, rhs, (lhs - rhs).norm())
 
 
@@ -88,9 +91,12 @@ def propagate_left(a: Jet, b: Jet, f0: Scalar, f1: Scalar,
     rows = binomials(ring, order)
     for n in range(order - 1):
         row = rows[n]
-        acc = ring.zero
-        for k in range(n + 1):
-            acc = acc + row[k] * (a[k] * c[n + 1 - k] + b[k] * c[n - k])
+        # C(n, 0) = C(n, n) = 1: the two end terms are not scaled
+        acc = ring.zero + (a[0] * c[n + 1] + b[0] * c[n])
+        for k in range(1, n):
+            acc = acc + (a[k] * c[n + 1 - k] + b[k] * c[n - k]).scale(row[k])
+        if n:
+            acc = acc + (a[n] * c[1] + b[n] * c[0])
         c.append(-acc)
     return Jet(c, ring)
 
@@ -103,9 +109,11 @@ def propagate_right(r: Jet, f0: Scalar, f1: Scalar,
     rows = binomials(ring, order)
     for n in range(order - 1):
         row = rows[n]
-        acc = ring.zero
-        for k in range(n + 1):
-            acc = acc + row[k] * (c[k] * r[n - k])
+        acc = ring.zero + c[0] * r[n]
+        for k in range(1, n):
+            acc = acc + (c[k] * r[n - k]).scale(row[k])
+        if n:
+            acc = acc + c[n] * r[0]
         c.append(acc)
     return Jet(c, ring)
 
@@ -140,21 +148,17 @@ def propagate_gauge(a: Jet) -> Jet:
     gauge kills the first coefficient of the ODE."""
     ring = a.ring
     rows = binomials(ring, a.order)
-    half = _half(ring)
+    half = ring.real(Fraction(1, 2))
     c = [ring.one]
     for n in range(a.order + 1):
         row = rows[n]
-        acc = ring.zero
-        for k in range(n + 1):
-            acc = acc + row[k] * (c[k] * a[n - k])
-        c.append(half * acc)
+        acc = ring.zero + c[0] * a[n]
+        for k in range(1, n):
+            acc = acc + (c[k] * a[n - k]).scale(row[k])
+        if n:
+            acc = acc + c[n] * a[0]
+        c.append(acc.scale(half))
     return Jet(c, ring)
-
-
-@cache
-def _half(ring):
-    """1/2 in ``ring``, built once per ring."""
-    return ring.from_real(Fraction(1, 2))
 
 
 class GaugeReport(NamedTuple):
@@ -178,7 +182,9 @@ def gauge_theorem_check(f1: Jet, f2: Jet, a: Jet, b: Jet,
     h = propagate_gauge(a)
     k = min(h.order, f1.order)
     f1t = h.truncate(k) * f1.truncate(k)
-    f2t = h.truncate(k) * f2.truncate(k)
+    # recover_ode_coeffs reads f2~ to order 2 only
+    k2 = min(k, 2)
+    f2t = h.truncate(k2) * f2.truncate(k2)
 
     a_tilde = gauge_transform_a(a, h)
     scale = 1.0 + max(c.norm() for c in a.coeffs)
@@ -238,10 +244,13 @@ def schwarzian_equation_check(g: Jet, f0: Scalar, f1: Scalar,
     h''' - (3/2) h'' (h')^-1 h'' = -2 h' F with F = g'' g^-1."""
     if g.order < 3:
         raise ValueError("need a jet of order >= 3")
-    r = g.inv().truncate(g.order - 2) * g.derivative().derivative()
-    f = propagate_right(r, f0, f1, g.order)
-    h = f * g.inv()
-    F = g[2] * g[0].inv()
+    # only h[1..3] are read, and they need g to order 3 alone
+    g = g.truncate(3)
+    gi = g.inv()
+    r = gi.truncate(1) * g.derivative().derivative()
+    f = propagate_right(r, f0, f1, 3)
+    h = f * gi
+    F = g[2] * gi[0]
     try:
         core = h[3] - Fraction(3, 2) * (h[2] * h[1].inv() * h[2])
     except NotInvertible as e:

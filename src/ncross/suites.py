@@ -407,7 +407,7 @@ def _t_ode_roundtrip(d: Draw, tol: float) -> list:
         res.append((b[0] + a[0] * f[1] * fi + f[2] * fi).norm())
     # second-coefficient identity through phi
     f1i = f1[0].inv()
-    phi = f1.inv() * f2
+    phi = f1.truncate(2).inv() * f2.truncate(2)  # phi[1], phi[2] are read
     res.append((a[0] + 2.0 * (f1[1] * f1i)
                 + f1[0] * phi[2] * phi[1].inv() * f1i).norm())
     return res
