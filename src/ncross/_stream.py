@@ -11,9 +11,21 @@ words.
 
 Building those three numpy objects costs far more than the handful of
 integer steps they perform for one scalar.  Here the pool hash constants,
-which do not depend on the data, are tabulated; the seed's part of the
-pool is mixed once per seed (cached); each stream then mixes only its
-counter words.
+which do not depend on the data, are tabulated, and the seed's part of the
+pool is mixed once per seed (cached).  A stream is built for every drawn
+scalar, so its own steps are written out as straight-line code:
+
+- the first counter word is mixed into the four pool words with the four
+  hash constants that follow the seed's, which ``_seed_pool`` hands over
+  with the pool; any further counter words go through ``_mix_in``;
+- ``generate_state``'s eight hashes of the pool words are spelled out;
+- ``uniform`` runs its PCG64 steps in one local loop.
+
+Each written-out step is the generic one with the loop indices filled in:
+the same integer operations on the same operands in the same order, so
+every output keeps numpy's bits (``tests/test_scalars.py`` compares them
+with numpy's own generator, at 32-bit word boundaries of the seed and the
+counter too).
 """
 
 from __future__ import annotations
@@ -82,14 +94,18 @@ def _words(n):
     return out
 
 
-def _mix_in(pool, words, k):
-    """Mix entropy words past the pool size into ``pool`` from hash step
-    ``k`` on; returns the next hash step.  This is ``_mix(pool[dst],
-    _hash(w, k))`` written out: it runs for every stream."""
-    need = k + _POOL * len(words)
+def _grow(need):
+    """Extend ``_HASH_A`` to at least ``need`` hash steps."""
     if need > len(_HASH_A):
         _HASH_A.extend(_constants(_HASH_A[-1][1], _MULT_A,
                                   need - len(_HASH_A)))
+
+
+def _mix_in(pool, words, k):
+    """Mix entropy words past the pool size into ``pool`` from hash step
+    ``k`` on; returns the next hash step.  This is ``_mix(pool[dst],
+    _hash(w, k))`` written out."""
+    _grow(k + _POOL * len(words))
     for w in words:
         for dst in range(_POOL):
             x, m = _HASH_A[k]
@@ -102,7 +118,8 @@ def _mix_in(pool, words, k):
 
 @functools.lru_cache(maxsize=64)
 def _seed_pool(seed):
-    """The pool after mixing the seed's words, and the next hash step.
+    """The four pool words after mixing the seed's words, then the four
+    hash steps of the counter's first word and the hash step after them.
 
     With a spawn key the seed's words are padded with zeros to the pool
     size, so they fill the pool on their own; the spawn key's words follow
@@ -117,7 +134,8 @@ def _seed_pool(seed):
                 pool[dst] = _mix(pool[dst], _hash(pool[src], k))
                 k += 1
     k = _mix_in(pool, words[_POOL:], k)
-    return tuple(pool), k
+    _grow(k + _POOL)
+    return (*pool, tuple(_HASH_A[k:k + _POOL]), k + _POOL)
 
 
 class Stream:
@@ -127,17 +145,51 @@ class Stream:
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed: int, counter: int):
-        pool, k = _seed_pool(operator.index(seed))
-        pool = list(pool)
-        _mix_in(pool, _words(counter), k)
+        p0, p1, p2, p3, first, k = _seed_pool(operator.index(seed))
+        counter = operator.index(counter)
+        if counter < 0:
+            raise ValueError("expected non-negative integer")
+        # _mix_in of the counter's first word, one pool word at a time
+        (x0, m0), (x1, m1), (x2, m2), (x3, m3) = first
+        w = counter & _M32
+        h = ((w ^ x0) * m0) & _M32
+        r = (_MIX_L * p0 - _MIX_R * (h ^ (h >> 16))) & _M32
+        p0 = r ^ (r >> 16)
+        h = ((w ^ x1) * m1) & _M32
+        r = (_MIX_L * p1 - _MIX_R * (h ^ (h >> 16))) & _M32
+        p1 = r ^ (r >> 16)
+        h = ((w ^ x2) * m2) & _M32
+        r = (_MIX_L * p2 - _MIX_R * (h ^ (h >> 16))) & _M32
+        p2 = r ^ (r >> 16)
+        h = ((w ^ x3) * m3) & _M32
+        r = (_MIX_L * p3 - _MIX_R * (h ^ (h >> 16))) & _M32
+        p3 = r ^ (r >> 16)
+        if counter > _M32:
+            pool = [p0, p1, p2, p3]
+            _mix_in(pool, _words(counter >> 32), k)
+            p0, p1, p2, p3 = pool
         # generate_state(4, uint64): eight hashed words cycling over the
         # pool, paired little-endian into the 128-bit state and increment
-        s = []
-        for i, (x, m) in enumerate(_HASH_B):
-            h = ((pool[i % _POOL] ^ x) * m) & _M32
-            s.append(h ^ (h >> 16))
-        initstate = s[0] << 64 | s[1] << 96 | s[2] | s[3] << 32
-        initseq = s[4] << 64 | s[5] << 96 | s[6] | s[7] << 32
+        (x0, m0), (x1, m1), (x2, m2), (x3, m3), \
+            (x4, m4), (x5, m5), (x6, m6), (x7, m7) = _HASH_B
+        h = ((p0 ^ x0) * m0) & _M32
+        s0 = h ^ (h >> 16)
+        h = ((p1 ^ x1) * m1) & _M32
+        s1 = h ^ (h >> 16)
+        h = ((p2 ^ x2) * m2) & _M32
+        s2 = h ^ (h >> 16)
+        h = ((p3 ^ x3) * m3) & _M32
+        s3 = h ^ (h >> 16)
+        h = ((p0 ^ x4) * m4) & _M32
+        s4 = h ^ (h >> 16)
+        h = ((p1 ^ x5) * m5) & _M32
+        s5 = h ^ (h >> 16)
+        h = ((p2 ^ x6) * m6) & _M32
+        s6 = h ^ (h >> 16)
+        h = ((p3 ^ x7) * m7) & _M32
+        s7 = h ^ (h >> 16)
+        initstate = s0 << 64 | s1 << 96 | s2 | s3 << 32
+        initseq = s4 << 64 | s5 << 96 | s6 | s7 << 32
         inc = (initseq << 1 | 1) & _M128
         # srandom: state = 0; step; state += initstate; step
         self._state = ((inc + initstate) * _PCG_MULT + inc) & _M128
@@ -152,9 +204,18 @@ class Stream:
         return ((x >> rot) | (x << (64 - rot))) & _M64
 
     def uniform(self, n: int) -> list[float]:
-        """``n`` draws of ``uniform(-1.0, 1.0)`` as Python floats."""
-        return [-1.0 + 2.0 * ((self._next64() >> 11) * _DOUBLE_UNIT)
-                for _ in range(n)]
+        """``n`` draws of ``uniform(-1.0, 1.0)`` as Python floats: the steps
+        of ``_next64`` in one local loop."""
+        st, inc = self._state, self._inc
+        out = []
+        for _ in range(n):
+            st = (st * _PCG_MULT + inc) & _M128
+            x = ((st >> 64) ^ st) & _M64
+            rot = st >> 122
+            x = ((x >> rot) | (x << (64 - rot))) & _M64
+            out.append(-1.0 + 2.0 * ((x >> 11) * _DOUBLE_UNIT))
+        self._state = st
+        return out
 
     def _next32(self):
         if self._half is not None:

@@ -102,7 +102,10 @@ class MatScalar(Scalar):
         return _mat(self.a @ q.a)
 
     def scale(self, r):
-        return _mat(self.a * r)
+        # each real and imaginary part times r, as Quaternion.scale does
+        # per component: the complex product with r + 0i would add the
+        # x * 0 terms, which turn an infinite part's partner into NaN
+        return _mat((self.a.view(np.float64) * r).view(np.complex128))
 
     def norm(self):
         return _fro(self.a)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
@@ -42,11 +43,40 @@ def nc_schwarzian(z: Jet) -> Scalar:
 #: expansion_check refuses parameters closer than this
 MIN_GAP = 1e-12
 
+#: parameter sets whose gap checks and factors expansion_check keeps;
+#: least recently used first out
+EXPANSION_CACHE_CAP = 256
+
 
 class ExpansionCheck(NamedTuple):
     lhs: Scalar
     rhs: Scalar
     residual: float
+
+
+@lru_cache(maxsize=EXPANSION_CACHE_CAP, typed=True)
+def _parameter_factors(t, t1, t2, t3) -> tuple:
+    """Refuse parameters closer than MIN_GAP; then the classical
+    cross-ratio of the parameters and (t2 - t)(t3 - t1), in their own
+    arithmetic.
+
+    A refusal is not cached, so it is raised on every call.  The cache is
+    typed because Fraction(1, 8) == 0.125 with equal hashes, yet the exact
+    parameters and the float ones take different paths: different bits
+    over the float rings, and over the rationals a float is refused."""
+    pts = (t, t1, t2, t3)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            if abs(pts[a] - pts[b]) < MIN_GAP:
+                raise PointsTooClose(f"parameters {a},{b} closer than {MIN_GAP}")
+    return (((t1 - t) * (t3 - t2)) / ((t2 - t1) * (t - t3)),
+            (t2 - t) * (t3 - t1))
+
+
+@lru_cache(maxsize=16)
+def _kernel_weights(ring) -> tuple:
+    """1/6 and 1/4 as reals of ``ring`` (``Ring.real``)."""
+    return ring.real(Fraction(1, 6)), ring.real(Fraction(1, 4))
 
 
 def expansion_check(z: Jet, t: float, t1: float, t2: float,
@@ -57,24 +87,25 @@ def expansion_check(z: Jet, t: float, t1: float, t2: float,
     lhs = (z(t2)-z(t1))^-1 (z(t1)-z(t)) (z(t)-z(t3))^-1 (z(t3)-z(t2));
     rhs = [classical cross-ratio of the parameters] * (1 + (t2-t)(t3-t1) K)
     with kernel K = (1/6)(z')^-1 z''' - (1/4)((z')^-1 z'')^2.  The gap is
-    O(eps^3) when the parameters scale like eps."""
-    pts = (t, t1, t2, t3)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if abs(pts[a] - pts[b]) < MIN_GAP:
-                raise PointsTooClose(f"parameters {a},{b} closer than {MIN_GAP}")
+    O(eps^3) when the parameters scale like eps.
+
+    The parameters are ints, floats or Fractions.  Their gap checks and
+    factors depend on them alone and are cached (``_parameter_factors``);
+    the factors become reals of the ring where they scale, so every
+    refusal keeps its class, its message and its place."""
+    pref, gap = _parameter_factors(t, t1, t2, t3)
     if z.order < 3:
         raise ValueError("need a jet of order >= 3")
-    zv = [z.eval(s) for s in pts]
+    ring = z.ring
+    zv = [z.eval(s) for s in (t, t1, t2, t3)]
     lhs = ((zv[2] - zv[1]).inv() * (zv[1] - zv[0])
            * (zv[0] - zv[3]).inv() * (zv[3] - zv[2]))
 
     w = z[1].inv()
     u = w * z[2]
-    kernel = Fraction(1, 6) * (w * z[3]) - Fraction(1, 4) * (u * u)
-    pref = ((t1 - t) * (t3 - t2)) / ((t2 - t1) * (t - t3))
-    one = z.ring.one
-    rhs = pref * (one + ((t2 - t) * (t3 - t1)) * kernel)
+    sixth, quarter = _kernel_weights(ring)
+    kernel = (w * z[3]).scale(sixth) - (u * u).scale(quarter)
+    rhs = (ring.one + kernel.scale(ring.real(gap))).scale(ring.real(pref))
     return ExpansionCheck(lhs, rhs, (lhs - rhs).norm())
 
 

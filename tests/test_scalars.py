@@ -17,6 +17,7 @@ from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, ComplexScalar,
                             MatScalar, Quaternion, RationalScalar, Seed,
                             conjugate_by, matrix_ring, ring_by_name, sample,
                             scalar_from_json, scalar_to_json, similar)
+from ncross.suites import _STRIDE
 
 RINGS = [QUATERNION, matrix_ring(3), COMPLEX, RATIONAL]
 
@@ -322,6 +323,15 @@ def test_stream_matches_numpy():
     cases = [(r.randrange(2 ** 31), r.randrange(2 ** 31)) for _ in range(300)]
     cases += [(7, 2 ** 32), (7, 2 ** 40 + 3), (2 ** 32, 5),
               (2 ** 70 + 1, 2 ** 33 + 9), (2 ** 200, 0)]
+    # the written-out first counter word and the words past it
+    cases += [(0, 2 ** 32 - 1), (7, 2 ** 32 - 1), (0, 2 ** 32),
+              (3, 2 ** 64 - 1), (3, 2 ** 64)]
+    # a seed of four words exactly fills the pool, a fifth is mixed in
+    cases += [(2 ** 128 - 1, 0), (2 ** 128 - 1, 2 ** 32 - 1),
+              (2 ** 128, 0), (2 ** 128, 2 ** 32 + 5)]
+    # seeds of 16 and 40 words: their counter's hash steps lie past the
+    # 64 tabulated ones, so _HASH_A grows
+    cases += [(2 ** 512 - 1, 11), (2 ** 1279 + 2 ** 600 + 1, 2 ** 64 + 1)]
     for seed, counter in cases:
         ref, got = _rng(seed, counter), Stream(seed, counter)
         assert got.uniform(4) == ref.uniform(-1.0, 1.0, size=4).tolist()
@@ -365,6 +375,10 @@ def _numpy_sample(ring, seed):
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_sample_matches_numpy_path(ring):
     seeds = [Seed(s, c) for s in (0, 1, 2 ** 33) for c in range(40)]
+    # the counters a suite draws from, trial * _STRIDE + k, up to and past
+    # the first counter word (2**32 falls between trials 42949 and 42950)
+    seeds += [Seed(s, trial * _STRIDE + k) for s in (0, 9)
+              for trial in (1, 999, 42949, 42950) for k in range(12)]
     rejected = _REJECTED_FIRST.get(ring.name, ())
     for c in rejected:
         first = _NUMPY_DRAW[ring.name](_rng(5, c))
@@ -636,15 +650,38 @@ def test_lean_arithmetic_matches_numpy():
             assert got.a.tobytes() == want.tobytes()
         if not a.dim:
             continue
-        # a real number scales the entries; against the product with
-        # 2.5 * I only the sign of a zero and NaN/inf propagation move
-        want = a.a * 2.5
+        # a real number scales each real and imaginary part; against the
+        # complex product with 2.5 + 0i (numpy's ``a * 2.5``) and the
+        # product with 2.5 * I only the sign of a zero and NaN/inf
+        # propagation move
+        want = (a.a.view(float) * 2.5).view(complex)
         assert (a * 2.5).a.tobytes() == want.tobytes()
         assert (2.5 * a).a.tobytes() == want.tobytes()
         if np.isfinite(a.a).all():
             c = (2.5 * np.eye(a.dim)).astype(complex)
+            assert np.array_equal(want, a.a * 2.5)
             assert np.array_equal(want, a.a @ c)
             assert np.array_equal(want, c @ a.a)
+
+
+def test_scale_keeps_each_part_of_an_infinite_entry():
+    """``scale`` multiplies the real and imaginary parts separately, as
+    ``Quaternion.scale`` multiplies each component: an infinite part stays
+    infinite and its partner stays finite, where the complex product with
+    r + 0i gives ``inf+nanj``."""
+    inf = float("inf")
+    m = MatScalar([[inf, 0.0], [complex(0.0, -inf), 1.0]])
+    got = m.scale(2.5).a
+    assert got.tobytes() == np.array(
+        [[complex(inf, 0.0), 0.0], [complex(0.0, -inf), 2.5]]).tobytes()
+    assert not np.isnan(got).any()
+    assert (m * 2.5).a.tobytes() == got.tobytes()
+    assert (2.5 * m).a.tobytes() == got.tobytes()
+    assert tuple(Quaternion(inf, 0.0, 1.0, -inf).scale(2.5)) == (
+        inf, 0.0, 2.5, -inf)
+    # the complex product with 2.5 + 0i is what scale no longer computes
+    with np.errstate(invalid="ignore"):
+        assert np.isnan((m.a * 2.5)[0, 0].imag)
 
 
 def test_lean_calls_raise_and_never_warn():
