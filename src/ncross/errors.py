@@ -55,8 +55,12 @@ BREAKDOWN_FACTOR = 100.0
 
 def agree(a, b, tol: float) -> bool:
     """|a - b| <= BREAKDOWN_FACTOR tol (1 + max(|a|, |b|)); symmetric."""
-    return ((a - b).norm()
-            <= BREAKDOWN_FACTOR * tol * (1.0 + max(a.norm(), b.norm())))
+    return agree_norms((a - b).norm(), a.norm(), b.norm(), tol)
+
+
+def agree_norms(diff: float, norm_a: float, norm_b: float, tol: float) -> bool:
+    """``agree``'s test on the three norms it reads: |a - b|, |a|, |b|."""
+    return diff <= BREAKDOWN_FACTOR * tol * (1.0 + max(norm_a, norm_b))
 
 
 def agreed(routes, tol: float, mismatch: type, what: str):

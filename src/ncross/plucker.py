@@ -11,14 +11,27 @@ the first call for a triple of ``Vec2`` columns and tolerance; repeats of
 that triple are served from a memo keyed on the columns' identity, which
 is sound because a ``Vec2`` of scalars is immutable.  Other column types
 (lists, plain tuples) are evaluated on every call.
+
+Every evaluation of ``qp_left`` goes through ``_evaluate``.  When all six
+entries of the three columns are exactly ``Quaternion``, it runs both row
+forms and the agreement test on plain floats (``_quaternion_rows``), in
+the operation order of ``Quaternion.__mul__``, ``__sub__``, ``inv`` and
+``norm``, so value, refusal and message are bit for bit those of the
+generic path; no intermediate scalar is built.  A squared norm that
+overflows there sends the whole call to the generic path, which alone
+holds ``Quaternion.inv``'s scaled inverse.  Matrix, complex, rational and
+mixed entries take the generic path: the ring operators under
+``errors.agreed``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
-from .errors import RowFormMismatch, agreed
-from .scalars import DEFAULT_ATOL, Scalar
+from .errors import (NotInvertible, RowFormMismatch, UndefinedExpression,
+                     agree_norms, agreed)
+from .scalars import DEFAULT_ATOL, INV_EPS, Quaternion, Scalar, _new
 
 
 class Vec2(NamedTuple):
@@ -65,9 +78,31 @@ def qp_left(columns: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL
         hit = _memo.get(key)
         if hit is not None:
             return hit[3]
+    value = _evaluate(ci, cj, ck, i, j, k, tol)
+    if key is not None:
+        if len(_memo) >= MEMO_CAP:
+            _memo.clear()
+        _memo[key] = (ci, cj, ck, value)
+    return value
+
+
+def _evaluate(ci, cj, ck, i: int, j: int, k: int, tol: float) -> Scalar:
+    """q^k_ij of the columns ci, cj, ck through both row forms, which must
+    agree: the one evaluation step of ``qp_left``, memo aside."""
     a1i, a2i = ci
     a1j, a2j = cj
     a1k, a2k = ck
+    if (type(a1i) is type(a2i) is type(a1j) is type(a2j) is type(a1k)
+            is type(a2k) is Quaternion):
+        value = _quaternion_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol)
+        if value is not None:
+            return value
+    return _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol)
+
+
+def _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol):
+    """The generic evaluation: both row forms in the ring's own operators,
+    cross-checked by ``agreed``."""
 
     def form(top_i, bot_i, top_j, bot_j, top_k, bot_k):
         # boxed entries in the top row of the two 2x2 quasideterminants
@@ -76,14 +111,92 @@ def qp_left(columns: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL
         right = top_j - top_k * (binv * bot_j)
         return left.inv() * right
 
-    value = agreed((lambda: form(a1i, a2i, a1j, a2j, a1k, a2k),
-                    lambda: form(a2i, a1i, a2j, a1j, a2k, a1k)),
-                   tol, RowFormMismatch, f"qp_left k={k},i={i},j={j}")
-    if key is not None:
-        if len(_memo) >= MEMO_CAP:
-            _memo.clear()
-        _memo[key] = (ci, cj, ck, value)
-    return value
+    return agreed((lambda: form(a1i, a2i, a1j, a2j, a1k, a2k),
+                   lambda: form(a2i, a1i, a2j, a1j, a2k, a1k)),
+                  tol, RowFormMismatch, f"qp_left k={k},i={i},j={j}")
+
+
+def _quaternion_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol):
+    """``agreed`` over the two row forms, for quaternion entries, on floats.
+
+    Returns the first form's value, or None when a squared norm overflows
+    (the caller then takes the generic path); raises what ``agreed`` would.
+    """
+    try:
+        try:
+            v1 = _quaternion_form(a1i, a2i, a1j, a2j, a1k, a2k)
+        except NotInvertible as err:
+            v1, e1 = None, err
+        try:
+            v2 = _quaternion_form(a2i, a1i, a2j, a1j, a2k, a1k)
+        except NotInvertible as err:
+            v2, e2 = None, err
+    except OverflowError:
+        return None
+    if v1 is None:
+        if v2 is None:
+            raise UndefinedExpression(f"qp_left k={k},i={i},j={j}: "
+                                      f"no route defined ({e1}; {e2})")
+        return _new(Quaternion, v2)
+    if v2 is not None:
+        a, b, c, d = v1
+        e, f, g, h = v2
+        diff = Quaternion.norm((a - e, b - f, c - g, d - h))
+        if not agree_norms(diff, Quaternion.norm(v1), Quaternion.norm(v2),
+                           tol):
+            raise RowFormMismatch(f"qp_left k={k},i={i},j={j}: "
+                                  f"routes differ by {diff:.3g}")
+    return _new(Quaternion, v1)
+
+
+def _quaternion_form(top_i, bot_i, top_j, bot_j, top_k, bot_k) -> tuple:
+    """(t_i - t_k b_k^-1 b_i)^-1 (t_j - t_k b_k^-1 b_j) of quaternion
+    entries as a float 4-tuple: ``_ring_rows``'s ``form`` written out, each
+    step in the operation order of its ``Quaternion`` method.  Raises
+    ``Quaternion.inv``'s NotInvertible, and OverflowError where ``inv``
+    would scale instead."""
+    # binv = bot_k.inv()
+    w, x, y, z = bot_k
+    n2 = w ** 2 + x ** 2 + y ** 2 + z ** 2
+    if n2 == math.inf:
+        raise OverflowError
+    if not math.sqrt(n2) >= INV_EPS:
+        raise NotInvertible("quaternion norm below threshold")
+    a, b, c, d = w / n2, -x / n2, -y / n2, -z / n2
+    p, q, r, s = top_k
+    # left = top_i - top_k * (binv * bot_i)
+    e, f, g, h = bot_i
+    m0 = a * e - b * f - c * g - d * h
+    m1 = a * f + b * e + c * h - d * g
+    m2 = a * g - b * h + c * e + d * f
+    m3 = a * h + b * g - c * f + d * e
+    w, x, y, z = top_i
+    l0 = w - (p * m0 - q * m1 - r * m2 - s * m3)
+    l1 = x - (p * m1 + q * m0 + r * m3 - s * m2)
+    l2 = y - (p * m2 - q * m3 + r * m0 + s * m1)
+    l3 = z - (p * m3 + q * m2 - r * m1 + s * m0)
+    # right = top_j - top_k * (binv * bot_j)
+    e, f, g, h = bot_j
+    m0 = a * e - b * f - c * g - d * h
+    m1 = a * f + b * e + c * h - d * g
+    m2 = a * g - b * h + c * e + d * f
+    m3 = a * h + b * g - c * f + d * e
+    w, x, y, z = top_j
+    e = w - (p * m0 - q * m1 - r * m2 - s * m3)
+    f = x - (p * m1 + q * m0 + r * m3 - s * m2)
+    g = y - (p * m2 - q * m3 + r * m0 + s * m1)
+    h = z - (p * m3 + q * m2 - r * m1 + s * m0)
+    # left.inv() * right
+    n2 = l0 ** 2 + l1 ** 2 + l2 ** 2 + l3 ** 2
+    if n2 == math.inf:
+        raise OverflowError
+    if not math.sqrt(n2) >= INV_EPS:
+        raise NotInvertible("quaternion norm below threshold")
+    a, b, c, d = l0 / n2, -l1 / n2, -l2 / n2, -l3 / n2
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
 
 
 def qp_right(rows: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL) -> Scalar:

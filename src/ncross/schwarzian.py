@@ -212,8 +212,11 @@ def gauge_theorem_check(f1: Jet, f2: Jet, a: Jet, b: Jet,
     theta^2 by theta."""
     h = propagate_gauge(a)
     k = min(h.order, f1.order)
-    f1t = h.truncate(k) * f1.truncate(k)
-    # recover_ode_coeffs reads f2~ to order 2 only
+    m = f1.order - 2
+    # f1~ is read to order m (its derivative to m - 1) and to order 2 by
+    # recover_ode_coeffs, which reads f2~ to order 2 only
+    k1 = min(k, max(m, 2))
+    f1t = h.truncate(k1) * f1.truncate(k1)
     k2 = min(k, 2)
     f2t = h.truncate(k2) * f2.truncate(k2)
 
@@ -221,7 +224,6 @@ def gauge_theorem_check(f1: Jet, f2: Jet, a: Jet, b: Jet,
     scale = 1.0 + max(c.norm() for c in a.coeffs)
     a_res = max(c.norm() for c in a_tilde.coeffs[: max(1, a_tilde.order)]) / scale
 
-    m = f1.order - 2
     phi = f1.inv() * f2
     pd0 = phi.derivative()[0]
     if f1.ring.name != "rational":

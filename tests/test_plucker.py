@@ -1,4 +1,10 @@
+import contextlib
+import io
+import itertools
 import json
+import math
+import random
+import struct
 import sys
 from fractions import Fraction
 
@@ -7,9 +13,10 @@ import pytest
 from ncross import errors, plucker, suites
 from ncross.errors import RowFormMismatch, UndefinedExpression
 from ncross.plucker import Vec2, plucker_minor, qp_left, qp_right
-from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, RationalScalar,
-                            Seed, matrix_ring, sample, scalar_from_json,
-                            scalar_to_json)
+from ncross.cli import main
+from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, Quaternion,
+                            RationalScalar, Seed, matrix_ring, sample,
+                            scalar_from_json, scalar_to_json)
 from ncross.suites import SuiteConfig, run_suite
 
 
@@ -181,8 +188,9 @@ QP_SUITES = ["plucker-properties", "crossratio-cocycles",
 
 @pytest.mark.parametrize("suite", QP_SUITES)
 def test_each_triple_is_evaluated_once_per_trial(suite, monkeypatch):
-    """Work count of the memo: qp_left reaches its row forms (``agreed``)
-    once per distinct (column identity, tol) triple a trial asks for."""
+    """Work count of the memo: qp_left reaches its evaluation step
+    (``_evaluate``) once per distinct (column identity, tol) triple a trial
+    asks for."""
     asked, alive = set(), []
     evaluations = trial = 0
     run_trial = suites._run_trial
@@ -193,7 +201,7 @@ def test_each_triple_is_evaluated_once_per_trial(suite, monkeypatch):
         plucker._memo.clear()  # so no clear at the cap lands inside a trial
         return run_trial(*args)
 
-    qp_code, agreed_code = plucker.qp_left.__code__, errors.agreed.__code__
+    qp_code, evaluate_code = plucker.qp_left.__code__, plucker._evaluate.__code__
 
     def profile(frame, event, arg):
         nonlocal evaluations
@@ -205,7 +213,7 @@ def test_each_triple_is_evaluated_once_per_trial(suite, monkeypatch):
             alive.append(cols)  # no id is reused within the count
             asked.add((trial, id(cols[f["i"]]), id(cols[f["j"]]),
                        id(cols[f["k"]]), f["tol"]))
-        elif frame.f_code is agreed_code and frame.f_back.f_code is qp_code:
+        elif frame.f_code is evaluate_code and frame.f_back.f_code is qp_code:
             evaluations += 1
 
     monkeypatch.setattr(suites, "_run_trial", one_trial)
@@ -226,3 +234,206 @@ def test_menelaus_leaves_the_memo_empty(ring):
     report = run_suite(SuiteConfig("menelaus", ring, trials=5, seed=0))
     assert report.trials_run > 0
     assert plucker._memo == {}
+
+
+# ---------------------------------------------------------------------------
+# the quaternion kernel
+
+def outcome(call):
+    """The type and IEEE bytes of a call's value, or the class and message
+    it raised."""
+    try:
+        value = call()
+    except errors.NCError as e:
+        return type(e), str(e)
+    if value is None:
+        return None
+    return type(value), struct.pack("<4d", *value)
+
+
+def kernel_and_generic(cols, i, j, k, tol):
+    """Outcomes of the float kernel and of the generic ``agreed`` route on
+    the same entries."""
+    args = (*cols[i], *cols[j], *cols[k], i, j, k, tol)
+    return (outcome(lambda: plucker._quaternion_rows(*args)),
+            outcome(lambda: plucker._ring_rows(*args)))
+
+
+def random_quaternion(rng):
+    scale = 10.0 ** rng.randint(-3, 3)
+    return Quaternion(*(scale * rng.uniform(-1.0, 1.0) for _ in range(4)))
+
+
+def random_columns(rng):
+    cols = [Vec2(random_quaternion(rng), random_quaternion(rng))
+            for _ in range(3)]
+    if rng.random() < 0.2:
+        # column k close to column i times a quaternion: the boxed entries
+        # nearly vanish, so routes drop out or drift apart
+        t, eps = random_quaternion(rng), 10.0 ** -rng.randint(6, 16)
+        cols[2] = Vec2(cols[0].x1 * t + random_quaternion(rng).scale(eps),
+                       cols[0].x2 * t)
+    return cols
+
+
+def test_kernel_keeps_every_bit_of_the_generic_route():
+    rng = random.Random(19)
+    seen = set()
+    for n in range(2400):
+        cols = random_columns(rng)
+        i, j, k = ((0, 1, 2), (0, 0, 2), (0, 2, 2), (1, 0, 2))[n % 4]
+        tol = rng.choice((1e-9, 1e-12, 1e-15))
+        kernel, generic = kernel_and_generic(cols, i, j, k, tol)
+        assert kernel == generic, (n, cols, i, j, k, tol)
+        seen.add(kernel[0])
+    # values, refusals with no route left, and disagreeing routes all occur
+    assert {Quaternion, UndefinedExpression, RowFormMismatch} <= seen
+
+
+q = Quaternion
+
+_A, _B = q(0.3, -0.5, 0.7, 0.2), q(-0.8, 0.1, 0.4, -0.6)
+_C, _D = q(0.9, 0.2, -0.3, 0.5), q(0.25, -0.75, 0.5, 0.125)
+_NAN, _INF = math.nan, math.inf
+
+#: name -> (columns, tol, whether a squared norm overflows in the kernel)
+EDGES = {
+    "zero bottom of k": ([(_A, _B), (_C, _D), (_B, q(0.0))], 1e-9, False),
+    "zero column k": ([(_A, _B), (_C, _D), (q(0.0), q(0.0))], 1e-9, False),
+    "1e-13 bottom of k": ([(_A, _B), (_C, _D), (_C, q(1e-13))], 1e-9, False),
+    "1e-13 column k": ([(_A, _B), (_C, _D), (q(1e-13), q(0, 1e-13))],
+                       1e-9, False),
+    "column k equals column i": ([(_A, _B), (_C, _D), (_A, _B)], 1e-9, False),
+    "1e200 in column k": ([(_A, _B), (_C, _D), (_C, q(1e200, 1.0))],
+                          1e-9, True),
+    "1e200 in column i": ([(q(1e200, 2e200), _B), (_C, _D), (_A, _C)],
+                          1e-9, True),
+    "1e-160 columns": ([(_A.scale(1e-160), _B.scale(1e-160)),
+                        (_C.scale(1e-160), _D.scale(1e-160)),
+                        (_B.scale(1e-160), _C.scale(1e-160))], 1e-9, False),
+    "1e-160 column j": ([(_A, _B), (_C.scale(1e-160), _D.scale(1e-160)),
+                         (_B, _C)], 1e-9, False),
+    "NaN in column j": ([(_A, _B), (q(_NAN, 0.1), _D), (_B, _C)], 1e-9, False),
+    "NaN bottom of k": ([(_A, _B), (_C, _D), (_B, q(0.2, _NAN))], 1e-9, False),
+    "inf bottom of k": ([(_A, _B), (_C, _D), (_B, q(_INF, 0.5))], 1e-9, True),
+    # the second form drops out on a NaN, so only the first overflows
+    "inf bottom of k, NaN in the other form": (
+        [(q(1.0), _A), (_C, _D), (q(1.0), q(_INF, 0.5))], 1e-9, True),
+    # each square is finite, their sum is not
+    "squares sum past the float range": (
+        [(_A, _B), (_C, _D), (_B, q(1e154, 1e154, 1e154, 1e154))], 1e-9, True),
+    "-inf in column j": ([(_A, _B), (_C, q(0.1, -_INF)), (_B, _C)],
+                         1e-9, False),
+    "forced mismatch": ([(_A, _B), (_C, _D), (_B, _C)], 1e-300, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_edge_columns_keep_the_generic_outcome(name):
+    cols, tol, overflows = EDGES[name]
+    cols = [Vec2(*c) for c in cols]
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (0, 2, 2), (1, 1, 0)):
+        if i == k:
+            continue
+        args = (cols[i], cols[j], cols[k], i, j, k, tol)
+        kernel, generic = kernel_and_generic(cols, i, j, k, tol)
+        assert outcome(lambda: plucker._evaluate(*args)) == generic
+        if kernel is None:
+            # the whole call went to the generic path: only a huge entry of
+            # a column that is inverted can overflow a squared norm
+            assert any(math.isinf(c) or abs(c) > 1e150
+                       for entry in (*cols[i], *cols[k]) for c in entry)
+            continue
+        assert kernel == generic, (i, j, k)
+    if overflows:
+        assert kernel_and_generic(cols, 0, 1, 2, tol)[0] is None
+    if name == "forced mismatch":
+        assert generic[0] is RowFormMismatch
+
+
+def test_kernel_squares_as_quaternion_inv_does():
+    """``x ** 2`` and ``x * x`` differ in the last bit for some floats, and
+    the kernel must square as ``Quaternion.inv`` does.  With a zero bottom
+    entry in column i the first form's boxed entry is column i's top entry
+    itself, so such floats reach both of its inverses unchanged."""
+    rng = random.Random(3)
+    odd = []
+    while len(odd) < 16 * 20:
+        x = rng.uniform(-1.0, 1.0)
+        if x ** 2 != x * x:
+            odd.append(x)
+    for n in range(20):
+        t = [Quaternion(*odd[16 * n + 4 * m:16 * n + 4 * m + 4])
+             for m in range(4)]
+        cols = [Vec2(t[0], QUATERNION.zero), Vec2(t[1], t[2]),
+                Vec2(t[2], t[3])]
+        kernel, generic = kernel_and_generic(cols, 0, 1, 2, 1e-9)
+        assert kernel == generic and kernel[0] is Quaternion
+
+
+def test_edge_outcomes_cover_each_branch():
+    """The edges reach a dropped route, two dropped routes, a disagreement
+    and the overflow hand-off."""
+    got = {name: kernel_and_generic([Vec2(*c) for c in cols], 0, 1, 2, tol)
+           for name, (cols, tol, _) in EDGES.items()}
+    assert got["zero bottom of k"][0][0] is Quaternion
+    assert got["zero column k"][0] == (
+        UndefinedExpression, "qp_left k=2,i=0,j=1: no route defined "
+        "(quaternion norm below threshold; quaternion norm below threshold)")
+    assert got["1e-13 column k"][0][0] is UndefinedExpression
+    assert got["forced mismatch"][0][0] is RowFormMismatch
+    assert got["NaN in column j"][0][0] is RowFormMismatch
+    kernel, generic = got["1e200 in column k"]
+    assert kernel is None and generic[0] is Quaternion
+
+
+def test_fresh_quaternion_coordinates_build_no_products(monkeypatch):
+    """A memo miss over quaternion entries runs on floats: no
+    ``Quaternion.__mul__`` and no ``Quaternion.inv``, for ``Vec2`` and for
+    plain tuple columns (a fallback would show up here)."""
+    calls = {"__mul__": 0, "inv": 0}
+    for name in calls:
+        method = getattr(Quaternion, name)
+
+        def counting(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(Quaternion, name, counting)
+    cols = qvecs(5, seed=31)
+    plucker._memo.clear()
+    values = [qp_left(family, i, j, k)
+              for family in (cols, [tuple(c) for c in cols])
+              for i, j, k in itertools.permutations(range(5), 3)]
+    assert len(values) == 120 and len(plucker._memo) == 60
+    assert calls == {"__mul__": 0, "inv": 0}
+    plucker._ring_rows(*cols[0], *cols[1], *cols[2], 0, 1, 2, 1e-9)
+    assert calls["__mul__"] > 0 and calls["inv"] > 0  # the wrappers count
+
+
+def compute_qp_left(tmp_path, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compute", "--op", "qp_left", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_compute_qp_left_prints_the_generic_bytes(tmp_path, monkeypatch):
+    s = [sample(QUATERNION, Seed(19, n)) for n in range(8)]
+    zero = scalar_to_json(QUATERNION.zero)
+    payloads = [{"matrix": {"entries": [[scalar_to_json(v) for v in s[:4]],
+                                        [scalar_to_json(v) for v in s[4:]]]},
+                 "i": i, "j": j, "k": k}
+                for i, j, k in ((3, 0, 1), (0, 1, 2), (2, 2, 0), (1, 3, 3))]
+    payloads.append({"matrix": {"entries": [[scalar_to_json(s[0]), zero,
+                                             scalar_to_json(s[1])],
+                                            [scalar_to_json(s[2]), zero,
+                                             scalar_to_json(s[3])]]},
+                     "i": 0, "j": 2, "k": 1})
+    fast = [compute_qp_left(tmp_path, p) for p in payloads]
+    monkeypatch.setattr(plucker, "_quaternion_rows", lambda *args: None)
+    generic = [compute_qp_left(tmp_path, p) for p in payloads]
+    assert fast == generic
+    assert [code for code, _, _ in fast] == [0, 0, 0, 0, 1]

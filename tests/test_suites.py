@@ -189,3 +189,32 @@ def test_trial_bodies_return_lists_of_floats(name, ring):
         assert all(isinstance(v, float) for v in res), res
         returned += 1
     assert returned  # not every draw was degenerate
+
+
+def test_ceva_cases_are_computed_once(monkeypatch):
+    """ceva-infinitesimal draws nothing, so its residuals depend on the
+    trial's kappa field alone: each field is computed once, the cached
+    residuals are the bits of a fresh computation, and a trial's list is its
+    own copy."""
+    from ncross.suites import _CEVA_FIELDS, _ceva_case
+    fresh = {name: [v.hex() for v in _ceva_case.__wrapped__(name)]
+             for name in _CEVA_FIELDS}
+    quadratures = []
+    infinitesimal_ceva = schwarzian.infinitesimal_ceva
+
+    def counting(*args):
+        quadratures.append(args)
+        return infinitesimal_ceva(*args)
+
+    monkeypatch.setattr(schwarzian, "infinitesimal_ceva", counting)
+    _ceva_case.cache_clear()
+    body = SUITES["ceva-infinitesimal"].trial
+    for trial in range(12):
+        res = body(Draw(QUATERNION, 0, trial), 1e-9)
+        assert [v.hex() for v in res] == fresh[_CEVA_FIELDS[trial % 4]]
+        res.append(1.0)  # must not reach the next trial of this field
+    quadratures.clear()
+    _ceva_case.cache_clear()
+    report = run_suite(SuiteConfig("ceva-infinitesimal", trials=100, seed=0))
+    assert report.trials_run == 100
+    assert 0 < len(quadratures) <= 4 * 3
