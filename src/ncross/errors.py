@@ -63,6 +63,12 @@ def agree_norms(diff: float, norm_a: float, norm_b: float, tol: float) -> bool:
     return diff <= BREAKDOWN_FACTOR * tol * (1.0 + max(norm_a, norm_b))
 
 
+def relative_residual(lhs, rhs) -> float:
+    """|lhs - rhs| / (1 + max(|lhs|, |rhs|)): the forward error at the
+    scale of the compared values."""
+    return (lhs - rhs).norm() / (1.0 + max(lhs.norm(), rhs.norm()))
+
+
 def agreed(routes, tol: float, mismatch: type, what: str):
     """The value of the routes (zero-argument callables) that are defined.
 

@@ -140,10 +140,6 @@ def barycentric_collinear_report(w1: Sequence[Scalar], w2: Sequence[Scalar],
         return BarycentricCollinearity(collinear(*pts, tol=tol), "reconstructed")
 
 
-def barycentric_collinear(w1, w2, w3, frame=None, tol: float = DEFAULT_ATOL) -> bool:
-    return barycentric_collinear_report(w1, w2, w3, frame, tol).verdict
-
-
 def segment_point(u, v, t: Scalar) -> Vec2:
     """u(1-t) + v t, the parameter acting on the right."""
     one = t.ring.one

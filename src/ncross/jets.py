@@ -14,6 +14,14 @@ takes sixteen, and a coefficient 1 is skipped (``x * 1.0`` is exact).
 Against products with the same constants as ring scalars, every bit is
 kept except the sign of an exact-zero component and NaN/inf propagation.
 
+Every jet product, jet inverse and right-coefficient ODE propagation
+(``schwarzian.propagate_right``, ``propagate_gauge``) is one Leibniz sum,
+``leibniz``.  Two loops keep their own.  Each term of
+``schwarzian.propagate_left`` is a_k c_{n+1-k} + b_k c_{n-k}, two products
+added before the scaling; a sum of one product per term would regroup
+those additions and move bits.  ``Jet.eval`` weights by Taylor weights,
+not by a binomial row.
+
 A coefficient of order m of a product or an inverse reads only orders up
 to m, in the same sequence, so truncating the operands first keeps its
 bits; callers that read low orders truncate before multiplying."""
@@ -26,7 +34,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, NotInvertible
-from .scalars import Ring, Scalar
+from .scalars import Ring, Scalar, _real
 
 DEFAULT_ORDER = 6
 
@@ -54,6 +62,18 @@ def _taylor_weights(ring: Ring, s, order: int) -> tuple:
     else:
         ws = (s ** k / math.factorial(k) for k in range(order + 1))
     return tuple(map(ring.real, ws))
+
+
+def leibniz(x, y, n: int, row: tuple, zero: Scalar, start: int = 0) -> Scalar:
+    """zero + sum_{k=start..n} C(n, k) x[k] y[n-k] for start 0 or 1, where
+    ``row`` is row n of ``binomials``.  The terms are added in k order and
+    C(n, 0) = C(n, n) = 1: the two end terms are not scaled."""
+    acc = zero if start else zero + x[0] * y[n]
+    for k in range(1, n):
+        acc = acc + (x[k] * y[n - k]).scale(row[k])
+    if n:
+        acc = acc + x[n] * y[0]
+    return acc
 
 
 class Jet:
@@ -107,18 +127,9 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             n = self._match(other)
-            a, b = self.coeffs, other.coeffs
-            zero = self.ring.zero
-            out = []
-            for m, row in enumerate(binomials(self.ring, n - 1)):
-                # C(m, 0) = C(m, m) = 1: the two end terms are not scaled
-                acc = zero + a[0] * b[m]
-                for k in range(1, m):
-                    acc = acc + (a[k] * b[m - k]).scale(row[k])
-                if m:
-                    acc = acc + a[m] * b[0]
-                out.append(acc)
-            return Jet(out, self.ring)
+            a, b, zero = self.coeffs, other.coeffs, self.ring.zero
+            return Jet([leibniz(a, b, m, row, zero) for m, row in
+                        enumerate(binomials(self.ring, n - 1))], self.ring)
         if isinstance(other, Scalar):
             return Jet([a * other for a in self.coeffs], self.ring)
         return self._scaled(other)
@@ -131,10 +142,10 @@ class Jet:
     def _scaled(self, other):
         """The jet times a real number (reals are central), or
         NotImplemented for anything else."""
-        if isinstance(other, (int, float, Fraction)):
-            r = self.ring.real(other)
-            return Jet([a.scale(r) for a in self.coeffs], self.ring)
-        return NotImplemented
+        r = _real(self.ring, other)
+        if r is None:
+            return NotImplemented
+        return Jet([a.scale(r) for a in self.coeffs], self.ring)
 
     def inv(self) -> "Jet":
         """Jet of s |-> f(s)^-1, by the Leibniz recursion
@@ -143,17 +154,11 @@ class Jet:
             g0 = self.coeffs[0].inv()
         except NotInvertible as e:
             raise NotInvertible(f"jet value not invertible: {e}") from e
-        f = self.coeffs
-        zero = self.ring.zero
+        f, zero = self.coeffs, self.ring.zero
         rows = binomials(self.ring, self.order)
         out = [g0]
         for n in range(1, len(self)):
-            row = rows[n]
-            acc = zero
-            for k in range(1, n):
-                acc = acc + (f[k] * out[n - k]).scale(row[k])
-            acc = acc + f[n] * out[0]  # C(n, n) = 1
-            out.append(-(g0 * acc))
+            out.append(-(g0 * leibniz(f, out, n, rows[n], zero, start=1)))
         return Jet(out, self.ring)
 
     def derivative(self) -> "Jet":
@@ -194,15 +199,6 @@ def cos_jet(ring: Ring, order: int = DEFAULT_ORDER) -> Jet:
 def tan_jet(ring: Ring, order: int = DEFAULT_ORDER) -> Jet:
     # tan = sin * cos^-1; derivatives at 0: 0, 1, 0, 2, 0, 16, 0, ...
     return sin_jet(ring, order) * cos_jet(ring, order).inv()
-
-
-def exp_jet(value: Scalar, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet of s |-> exp(a s) at 0 when a commutes with itself: coefficients
-    a^n."""
-    coeffs = [value.ring.one]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * value)
-    return Jet(coeffs, value.ring)
 
 
 def moebius_jet(a: Scalar, b: Scalar, c: Scalar, d: Scalar, z: Jet) -> Jet:

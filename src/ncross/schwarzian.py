@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple
 
 from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
                      NotInvertible, NumericalBreakdown, PointsTooClose,
-                     QuadratureFailure, UndefinedExpression)
-from .jets import DEFAULT_ORDER, Jet, binomials
+                     QuadratureFailure, UndefinedExpression, relative_residual)
+from .jets import DEFAULT_ORDER, Jet, binomials, leibniz
 from .plucker import qp_right
 from .scalars import DEFAULT_ATOL, Scalar
 
@@ -139,13 +139,7 @@ def propagate_right(r: Jet, f0: Scalar, f1: Scalar,
     ring = f0.ring
     rows = binomials(ring, order)
     for n in range(order - 1):
-        row = rows[n]
-        acc = ring.zero + c[0] * r[n]
-        for k in range(1, n):
-            acc = acc + (c[k] * r[n - k]).scale(row[k])
-        if n:
-            acc = acc + c[n] * r[0]
-        c.append(acc)
+        c.append(leibniz(c, r, n, rows[n], ring.zero))
     return Jet(c, ring)
 
 
@@ -181,14 +175,8 @@ def propagate_gauge(a: Jet) -> Jet:
     rows = binomials(ring, a.order)
     half = ring.real(Fraction(1, 2))
     c = [ring.one]
-    for n in range(a.order + 1):
-        row = rows[n]
-        acc = ring.zero + c[0] * a[n]
-        for k in range(1, n):
-            acc = acc + (c[k] * a[n - k]).scale(row[k])
-        if n:
-            acc = acc + c[n] * a[0]
-        c.append(acc.scale(half))
+    for n, row in enumerate(rows):
+        c.append(leibniz(c, a, n, row, ring.zero).scale(half))
     return Jet(c, ring)
 
 
@@ -225,16 +213,15 @@ def gauge_theorem_check(f1: Jet, f2: Jet, a: Jet, b: Jet,
     a_res = max(c.norm() for c in a_tilde.coeffs[: max(1, a_tilde.order)]) / scale
 
     phi = f1.inv() * f2
-    pd0 = phi.derivative()[0]
+    pd = phi.derivative()
     if f1.ring.name != "rational":
         # theta inverts phi'; past this conditioning the candidate gap is
         # pure rounding noise, so the draw is reported as a breakdown
-        kappa = pd0.norm() * pd0.inv().norm()
+        kappa = pd[0].norm() * pd[0].inv().norm()
         if kappa > 1e4:
             raise NumericalBreakdown(
                 f"phi' conditioning {kappa:.3g} too large for theta")
-    theta = phi.derivative().derivative().truncate(m) * \
-        phi.derivative().truncate(m).inv()
+    theta = pd.derivative().truncate(m) * pd.truncate(m).inv()
     # transformed f1 satisfies f1~' = -(f1~/2) theta
     lhs = f1t.derivative().truncate(m - 1)
     rhs = Fraction(-1, 2) * (f1t.truncate(m - 1) * theta.truncate(m - 1))
@@ -289,8 +276,8 @@ def schwarzian_equation_check(g: Jet, f0: Scalar, f1: Scalar,
     except NotInvertible as e:
         raise UndefinedExpression(f"h' not invertible: {e}") from e
     rhs = (-2) * (h[1] * F)
-    res = (core - rhs).norm() / (1.0 + max(core.norm(), rhs.norm()))
-    return SchwarzianEquationReport(res, nc_schwarzian(h), F)
+    return SchwarzianEquationReport(relative_residual(core, rhs),
+                                    nc_schwarzian(h), F)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from . import crossratio, geometry, pentagram, schwarzian
 from .errors import (DrawBudgetExceeded, NumericalBreakdown,
                      UndefinedExpression, UnknownSuite,
-                     UnsupportedRingForSuite)
+                     UnsupportedRingForSuite, relative_residual)
 from .jets import Jet
 from .linalg import solve_left
 from .plucker import Vec2, qp_left, qp_right, plucker_minor
@@ -133,11 +133,6 @@ class Report:
 def _t_plucker(d: Draw, tol: float) -> list:
     ring = d.ring
     one = ring.one
-
-    def rel(lhs, rhs):
-        # forward error at the scale of the compared values
-        return (lhs - rhs).norm() / (1.0 + max(lhs.norm(), rhs.norm()))
-
     cols = [d.vec2() for _ in range(4)]
     i, j, k, l = 0, 1, 2, 3
     res = []
@@ -148,16 +143,19 @@ def _t_plucker(d: Draw, tol: float) -> list:
     g = [[d.scalar() for _ in range(2)] for _ in range(2)]
     gcols = [Vec2(g[0][0] * c.x1 + g[0][1] * c.x2,
                   g[1][0] * c.x1 + g[1][1] * c.x2) for c in cols]
-    res.append(rel(qp_left(gcols, i, j, k, tol), qp_left(cols, i, j, k, tol)))
+    res.append(relative_residual(qp_left(gcols, i, j, k, tol),
+                                 qp_left(cols, i, j, k, tol)))
     # P2: right diagonal scaling
     lam = [d.scalar() for _ in range(4)]
     scols = [Vec2(c.x1 * m, c.x2 * m) for c, m in zip(cols, lam)]
-    res.append(rel(qp_left(scols, i, j, k, tol),
-                   lam[i].inv() * qp_left(cols, i, j, k, tol) * lam[j]))
+    res.append(relative_residual(
+        qp_left(scols, i, j, k, tol),
+        lam[i].inv() * qp_left(cols, i, j, k, tol) * lam[j]))
     # P4: inverse pair and chain
     res.append((qp_left(cols, i, j, k, tol) * qp_left(cols, j, i, k, tol) - one).norm())
-    res.append(rel(qp_left(cols, i, j, k, tol) * qp_left(cols, j, l, k, tol),
-                   qp_left(cols, i, l, k, tol)))
+    res.append(relative_residual(
+        qp_left(cols, i, j, k, tol) * qp_left(cols, j, l, k, tol),
+        qp_left(cols, i, l, k, tol)))
     # P5: skew-symmetry
     res.append((qp_left(cols, i, j, k, tol) * qp_left(cols, j, k, i, tol)
                 * qp_left(cols, k, i, j, tol) + one).norm())
@@ -172,7 +170,8 @@ def _t_plucker(d: Draw, tol: float) -> list:
     if ring.commutative:
         # minor-ratio reduction
         q = qp_left(cols, i, j, k, tol)
-        res.append(rel(q * plucker_minor(cols, i, k), plucker_minor(cols, j, k)))
+        res.append(relative_residual(q * plucker_minor(cols, i, k),
+                                     plucker_minor(cols, j, k)))
     return res
 
 

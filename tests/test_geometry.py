@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ncross.errors import UndefinedExpression
-from ncross.geometry import (barycentric, barycentric_collinear,
+from ncross.geometry import (barycentric, barycentric_collinear_report,
                              barycentric_reconstruct, ceva_commutative,
                              collinear, collinear_defect, konopelchenko,
                              menelaus_commutative, menelaus_nc, segment_point)
@@ -91,9 +91,10 @@ def test_barycentric_collinear_detects_lines():
     a, b, c = rp(0, 0), rp(4, 0), rp(0, 4)
     p1, p2, p3 = rp(1, 2), rp(2, 3), rp(3, 4)
     ws = [tuple(barycentric(p, a, b, c)) for p in (p1, p2, p3)]
-    assert barycentric_collinear(*ws, frame=(a, b, c))
+    assert barycentric_collinear_report(*ws, frame=(a, b, c)).verdict
     w_off = tuple(barycentric(rp(1, 1), a, b, c))
-    assert not barycentric_collinear(ws[0], ws[1], w_off, frame=(a, b, c))
+    assert not barycentric_collinear_report(ws[0], ws[1], w_off,
+                                            frame=(a, b, c)).verdict
 
 
 def test_menelaus_nc_collinear_product():

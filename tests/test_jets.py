@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncross import jets, schwarzian
-from ncross.jets import (Jet, cos_jet, exp_jet, jet_from_function, moebius_jet,
-                         sin_jet, tan_jet)
+from ncross.jets import (Jet, cos_jet, jet_from_function, moebius_jet, sin_jet,
+                         tan_jet)
 from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, Quaternion,
                             QuaternionRing, Seed, matrix_ring, sample)
 from ncross.suites import SuiteConfig, run_suite
@@ -63,7 +63,7 @@ def test_named_jets():
 
 
 def test_eval_matches_taylor():
-    e = exp_jet(COMPLEX.one, order=8)
+    e = Jet([COMPLEX.one] * 9, COMPLEX)  # exp(s): every derivative is 1
     assert abs(e.eval(0.5).v - math.e ** 0.5) < 1e-6
 
 
@@ -211,6 +211,25 @@ def test_constant_tables_keep_every_bit(ring):
 
 def _drawn_jet(ring, seed, order=6):
     return Jet([sample(ring, Seed(seed, k)) for k in range(order + 1)], ring)
+
+
+@pytest.mark.parametrize("ring", _BIT_RINGS, ids=lambda r: r.name)
+def test_real_factors_scale_and_bools_are_refused(ring):
+    """A jet times a real number is each coefficient times it, bit for bit;
+    a bool is no real factor, as it is none for a scalar."""
+    f = _drawn_jet(ring, 260)
+    for r in (2, 0.5, Fraction(1, 2)):
+        if ring is RATIONAL and isinstance(r, float):
+            with pytest.raises(ValueError):
+                r * f
+            continue
+        want = [_bits(c * r) for c in f.coeffs]
+        assert list(map(_bits, (f * r).coeffs)) == want
+        assert list(map(_bits, (r * f).coeffs)) == want
+    with pytest.raises(TypeError):
+        f * True
+    with pytest.raises(TypeError):
+        True * f
 
 
 @pytest.mark.parametrize("ring", _BIT_RINGS, ids=lambda r: r.name)
