@@ -1,12 +1,10 @@
 """The noncommutative Schwarzian, three ways.
 
-1. as the third-order coefficient of a cross-ratio expansion;
+1. as the eps^2 coefficient of the cross-ratio of four points of a curve;
 2. as the gauge-invariant second coefficient of a left ODE;
 3. as the right-hand side of the Schwarzian equation for ratios of
    solutions.
 """
-
-import math
 
 from ncross import QUATERNION, Seed, sample
 from ncross.jets import Jet, cos_jet, tan_jet
@@ -20,13 +18,13 @@ from ncross.scalars import COMPLEX
 z = tan_jet(COMPLEX)
 print("Sch(tan) =", nc_schwarzian(z), " (classically 2)")
 
-gaps = []
-for k in range(3, 8):
-    eps = 2.0 ** -k
-    gaps.append(expansion_check(z, 0, eps, 2 * eps, 3 * eps).residual)
-slopes = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
-print("expansion gap decay slopes:", ["%.3f" % s for s in slopes],
-      " (third order)")
+# with t_i = s_i eps, s = (0, 1, 2, 3), the cross-ratio of z(t_0), ..., z(t_3)
+# is a jet in eps whose orders 0, 1, 2 are -1/3, 0 and -(8/3) K, where the
+# kernel K = (1/6)(z')^-1 z''' - (1/4)((z')^-1 z'')^2 is Sch(z)/6
+print("expansion residuals at orders 0, 1, 2:",
+      ["%.1e" % r for r in expansion_check(z)])
+q = Jet([sample(QUATERNION, Seed(0, k)) for k in range(4)])
+print("and on a quaternion curve:", ["%.1e" % r for r in expansion_check(q)])
 
 # --- 2: the gauge picture ----------------------------------------------
 

@@ -106,10 +106,6 @@ class ConsecutiveCoincidence(UndefinedExpression):
     """Cyclically consecutive points of a pentad coincide."""
 
 
-class PointsTooClose(UndefinedExpression):
-    """Sample points too close for a stable difference quotient."""
-
-
 class NonPositiveKappa(NCError):
     """A conformal factor must stay positive along the segment."""
 

@@ -6,21 +6,23 @@ not Taylor coefficients.  Products use the Leibniz rule in order
 quaternions and matrix scalars.
 
 The constants of those rules are reals in the ring's own type
-(``Ring.real``: floats, or ints and Fractions for the rationals), built
-once and cached: the binomial rows C(m, k) per (ring, order), and the
-Taylor weights s^k / k! of ``Jet.eval`` per (ring, s, order).  They act
-by ``Scalar.scale``, four multiplies on a quaternion where a ring product
+(``Ring.real``: floats, or ints and Fractions for the rationals): the
+binomial rows C(m, k), built once per (ring, order), and the Taylor
+weights s^k / k! of ``Jet.eval``, built per call.  They act by
+``Scalar.scale``, four multiplies on a quaternion where a ring product
 takes sixteen, and a coefficient 1 is skipped (``x * 1.0`` is exact).
 Against products with the same constants as ring scalars, every bit is
 kept except the sign of an exact-zero component and NaN/inf propagation.
 
-Every jet product, jet inverse and right-coefficient ODE propagation
-(``schwarzian.propagate_right``, ``propagate_gauge``) is one Leibniz sum,
-``leibniz``.  Two loops keep their own.  Each term of
-``schwarzian.propagate_left`` is a_k c_{n+1-k} + b_k c_{n-k}, two products
-added before the scaling; a sum of one product per term would regroup
-those additions and move bits.  ``Jet.eval`` weights by Taylor weights,
-not by a binomial row.
+Every jet product, jet inverse, left quotient and right-coefficient ODE
+propagation (``schwarzian._ldiv``, ``propagate_right``,
+``propagate_gauge``) is one Leibniz sum, ``leibniz``.  Two loops keep
+their own.  Each term of ``schwarzian.propagate_left`` is
+a_k c_{n+1-k} + b_k c_{n-k}, two products added before the scaling; a sum
+of one product per term would regroup those additions and move bits.
+``Jet.eval`` weights by Taylor weights, not by a binomial row; no check
+evaluates a jet at a point, since the Schwarzian expansion is checked as
+an identity of jets in eps.
 
 A coefficient of order m of a product or an inverse reads only orders up
 to m, in the same sequence, so truncating the operands first keeps its
@@ -38,10 +40,6 @@ from .scalars import Ring, Scalar, _real
 
 DEFAULT_ORDER = 6
 
-#: (ring, s, order) weight tables ``Jet.eval`` keeps; least recently used
-#: first out
-EVAL_CACHE_CAP = 256
-
 
 @lru_cache(maxsize=64)
 def binomials(ring: Ring, order: int) -> tuple:
@@ -51,12 +49,10 @@ def binomials(ring: Ring, order: int) -> tuple:
                  for m in range(order + 1))
 
 
-@lru_cache(maxsize=EVAL_CACHE_CAP, typed=True)
 def _taylor_weights(ring: Ring, s, order: int) -> tuple:
     """s^k / k! for k = 0..order as reals of ``ring`` (``Ring.real``):
-    exact for an int or Fraction s, floats otherwise.  The cache is typed
-    because Fraction(1, 8) == 0.125 and both hash alike, yet they take
-    different paths to different bits."""
+    exact for an int or Fraction s, floats otherwise, so Fraction(1, 8)
+    and 0.125 take different paths to different bits."""
     if isinstance(s, (int, Fraction)):
         ws = (Fraction(s) ** k / math.factorial(k) for k in range(order + 1))
     else:

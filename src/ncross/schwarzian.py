@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
-                     NotInvertible, NumericalBreakdown, PointsTooClose,
-                     QuadratureFailure, UndefinedExpression, relative_residual)
+                     NotInvertible, NumericalBreakdown, QuadratureFailure,
+                     UndefinedExpression, relative_residual)
 from .jets import DEFAULT_ORDER, Jet, binomials, leibniz
 from .plucker import qp_right
 from .scalars import DEFAULT_ATOL, Scalar
@@ -40,73 +40,65 @@ def nc_schwarzian(z: Jet) -> Scalar:
     return w * z[3] - Fraction(3, 2) * (u * u)
 
 
-#: expansion_check refuses parameters closer than this
-MIN_GAP = 1e-12
-
-#: parameter sets whose gap checks and factors expansion_check keeps;
-#: least recently used first out
-EXPANSION_CACHE_CAP = 256
-
-
-class ExpansionCheck(NamedTuple):
-    lhs: Scalar
-    rhs: Scalar
-    residual: float
-
-
-@lru_cache(maxsize=EXPANSION_CACHE_CAP, typed=True)
-def _parameter_factors(t, t1, t2, t3) -> tuple:
-    """Refuse parameters closer than MIN_GAP; then the classical
-    cross-ratio of the parameters and (t2 - t)(t3 - t1), in their own
-    arithmetic.
-
-    A refusal is not cached, so it is raised on every call.  The cache is
-    typed because Fraction(1, 8) == 0.125 with equal hashes, yet the exact
-    parameters and the float ones take different paths: different bits
-    over the float rings, and over the rationals a float is refused."""
-    pts = (t, t1, t2, t3)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if abs(pts[a] - pts[b]) < MIN_GAP:
-                raise PointsTooClose(f"parameters {a},{b} closer than {MIN_GAP}")
-    return (((t1 - t) * (t3 - t2)) / ((t2 - t1) * (t - t3)),
-            (t2 - t) * (t3 - t1))
+#: parameters of expansion_check's four curve points, t_i = s_i eps
+s = (0, 1, 2, 3)
 
 
 @lru_cache(maxsize=16)
 def _kernel_weights(ring) -> tuple:
-    """1/6 and 1/4 as reals of ``ring`` (``Ring.real``)."""
-    return ring.real(Fraction(1, 6)), ring.real(Fraction(1, 4))
+    """The reals of ``ring`` (``Ring.real``) that expansion_check scales
+    by: for each gap G_ab of its product, in product order, the weights
+    (s_b^(n+1) - s_a^(n+1))/(n+1) of orders n = 0..2; then 1/6 and 1/4 of
+    the kernel, pref and 2 pref gap."""
+    pref = Fraction((s[1] - s[0]) * (s[3] - s[2]),
+                    (s[2] - s[1]) * (s[0] - s[3]))
+    gap = (s[2] - s[0]) * (s[3] - s[1])
+    gaps = tuple(tuple(ring.real(Fraction(s[b] ** m - s[a] ** m, m))
+                       for m in (1, 2, 3))
+                 for a, b in ((1, 2), (0, 1), (3, 0), (2, 3)))
+    return gaps + tuple(map(ring.real, (Fraction(1, 6), Fraction(1, 4),
+                                        pref, 2 * pref * gap)))
 
 
-def expansion_check(z: Jet, t: float, t1: float, t2: float,
-                    t3: float) -> ExpansionCheck:
-    """Compare the four-point cross-ratio of a curve with its second-order
-    expansion.
+def _ldiv(a: Jet, b: Jet) -> Jet:
+    """The jet of a^-1 b, by the Leibniz recursion
+    q_n = a_0^-1 (b_n - sum_{k=1..n} C(n,k) a_k q_{n-k})."""
+    a0inv = a[0].inv()
+    ring = a.ring
+    q = []
+    for n, row in enumerate(binomials(ring, a.order)):
+        q.append(a0inv * (b[n] - leibniz(a, q, n, row, ring.zero, start=1)))
+    return Jet(q, ring)
 
-    lhs = (z(t2)-z(t1))^-1 (z(t1)-z(t)) (z(t)-z(t3))^-1 (z(t3)-z(t2));
-    rhs = [classical cross-ratio of the parameters] * (1 + (t2-t)(t3-t1) K)
-    with kernel K = (1/6)(z')^-1 z''' - (1/4)((z')^-1 z'')^2.  The gap is
-    O(eps^3) when the parameters scale like eps.
 
-    The parameters are ints, floats or Fractions.  Their gap checks and
-    factors depend on them alone and are cached (``_parameter_factors``);
-    the factors become reals of the ring where they scale, so every
-    refusal keeps its class, its message and its place."""
-    pref, gap = _parameter_factors(t, t1, t2, t3)
+def expansion_check(z: Jet) -> tuple:
+    """Relative residuals of orders 0, 1 and 2 of the cross-ratio expansion
+    of a curve, as an exact identity of jets in eps.
+
+    With t_i = s_i eps, each gap G_ab = (z(t_b) - z(t_a))/eps is a jet in
+    eps whose raw coefficient n is z_{n+1} (s_b^(n+1) - s_a^(n+1))/(n+1).
+    The four-point cross-ratio
+
+        G_12^-1 G_01 G_30^-1 G_23 = pref (1 + gap eps^2 K) + O(eps^3)
+
+    where pref is the classical cross-ratio of s (-1/3), gap is
+    (s_2 - s_0)(s_3 - s_1) (4) and K is the kernel
+    (1/6)(z')^-1 z''' - (1/4)((z')^-1 z'')^2.  So the product's raw
+    coefficients of orders 0, 1 and 2 are pref, 0 and 2 pref gap K."""
     if z.order < 3:
         raise ValueError("need a jet of order >= 3")
     ring = z.ring
-    zv = [z.eval(s) for s in (t, t1, t2, t3)]
-    lhs = ((zv[2] - zv[1]).inv() * (zv[1] - zv[0])
-           * (zv[0] - zv[3]).inv() * (zv[3] - zv[2]))
+    *weights, sixth, quarter, pref, curv = _kernel_weights(ring)
+    g12, g01, g30, g23 = (Jet([z[n + 1].scale(ws[n]) for n in range(3)], ring)
+                          for ws in weights)
+    lhs = _ldiv(g12, g01) * _ldiv(g30, g23)
 
     w = z[1].inv()
     u = w * z[2]
-    sixth, quarter = _kernel_weights(ring)
     kernel = (w * z[3]).scale(sixth) - (u * u).scale(quarter)
-    rhs = (ring.one + kernel.scale(ring.real(gap))).scale(ring.real(pref))
-    return ExpansionCheck(lhs, rhs, (lhs - rhs).norm())
+    return (relative_residual(lhs[0], ring.one.scale(pref)),
+            relative_residual(lhs[1], ring.zero),
+            relative_residual(lhs[2], kernel.scale(curv)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +496,3 @@ def infinitesimal_ceva(vf: VectorFieldPair, x, eps: float) -> CevaInfinitesimal:
 
     s3 = _ceva_s3(field, x, (xi, _minus(eta, xi), (-eta[0], -eta[1])))
     return CevaInfinitesimal(c - 1.0, s3)
-
-
-def richardson_c_over_eps3(vf: VectorFieldPair, x, eps: float) -> float:
-    """Richardson-extrapolated limit of (c-1)/eps^3 using eps and eps/2."""
-    r1 = infinitesimal_ceva(vf, x, eps).c_minus_1 / eps ** 3
-    r2 = infinitesimal_ceva(vf, x, eps / 2).c_minus_1 / (eps / 2) ** 3
-    return 2.0 * r2 - r1

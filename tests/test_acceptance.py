@@ -17,7 +17,6 @@ from ncross.scalars import COMPLEX, QUATERNION, Seed, sample
 from ncross.schwarzian import (VectorFieldPair, gauge_theorem_check,
                                infinitesimal_ceva, kappa_field, nc_schwarzian,
                                propagate_left, recover_ode_coeffs,
-                               richardson_c_over_eps3,
                                schwarzian_equation_check)
 from ncross.errors import NumericalBreakdown
 from ncross.scalars import RationalScalar, ring_by_name
@@ -89,12 +88,14 @@ def test_criterion_5_menelaus_ceva_konopelchenko():
 
 def test_criterion_6_expansion_order():
     ok_suite, rep = suite_ok("schwarzian-expansion", "quaternion", 100, 1e-9)
+    ok_exact, rr = suite_ok("schwarzian-expansion", "rational", 100, 1e-10)
     tan_val = nc_schwarzian(tan_jet(COMPLEX))
     two = COMPLEX.one + COMPLEX.one
     ok_tan = (tan_val - two).norm() <= 1e-12
-    crit(6, f"expansion slope >= 2.9 on 100 quaternion jets (worst gap "
-            f"{rep.max_residual:.2e}); Sch(tan) = 2 within 1e-12",
-         ok_suite and ok_tan)
+    crit(6, f"expansion orders 0-2 <= 1e-9 relative on 100 quaternion jets "
+            f"(worst {rep.max_residual:.2e}), exactly 0 on rational "
+            f"({rr.max_residual:.2e}); Sch(tan) = 2 within 1e-12",
+         ok_suite and ok_exact and rr.max_residual == 0.0 and ok_tan)
 
 
 def test_criterion_7_ode_roundtrip():
@@ -156,6 +157,13 @@ def test_criterion_9_schwarzian_equation():
     crit(9, f"Schwarzian equation quaternion 1e-9 (max "
             f"{rep.max_residual:.2e}); tan instance exact to 1e-12",
          ok_suite and ok_tan)
+
+
+def richardson_c_over_eps3(vf, x, eps):
+    """Richardson-extrapolated limit of (c-1)/eps^3 using eps and eps/2."""
+    r1 = infinitesimal_ceva(vf, x, eps).c_minus_1 / eps ** 3
+    r2 = infinitesimal_ceva(vf, x, eps / 2).c_minus_1 / (eps / 2) ** 3
+    return 2.0 * r2 - r1
 
 
 def test_criterion_10_infinitesimal_ceva():

@@ -54,9 +54,9 @@ REPORT_DIGESTS = {
          "eb62d598b1265f9f"),
     ),
     "jets-schwarzian": (
-        ("5c0eb32d7ad5cf08", "373872bb80b75a21", "a87a455a32040b45", "eb3473cd37add0b8",
+        ("20e6b1707ee2f08d", "373872bb80b75a21", "a87a455a32040b45", "eb3473cd37add0b8",
          "7957522e5a8c9d05"),
-        ("5c0eb32d7ad5cf08", "8079b5dee9ae1638", "49b206db9ed6823f", "821e59384c81f0f1",
+        ("201da69ded48a15d", "8079b5dee9ae1638", "49b206db9ed6823f", "821e59384c81f0f1",
          "7957522e5a8c9d05"),
     ),
     "matrix-operator": (

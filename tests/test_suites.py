@@ -120,16 +120,30 @@ def test_dv_cocycle_makes_four_dv_calls_per_trial(monkeypatch, ring):
     assert report.trials_run == 20
     assert len(per_trial) >= 20 and set(per_trial) == {4}
 
-def test_nan_decay_slope_fails_trial(monkeypatch):
-    """schwarzian-expansion reports how far the decay slope of its
-    expansion gaps falls short of third order; NaN gaps give a NaN slope,
-    which must fail the trial rather than read as no shortfall."""
+def test_nan_order_residual_fails_trial(monkeypatch):
+    """schwarzian-expansion returns the residuals of its expansion orders
+    as they are; a NaN order residual must fail the trial rather than read
+    as no residual."""
     monkeypatch.setattr(schwarzian, "expansion_check",
-                        lambda *args: schwarzian.ExpansionCheck(
-                            None, None, math.nan))
+                        lambda z: (0.0, math.nan, 0.0))
     report = run_suite(SuiteConfig("schwarzian-expansion", trials=3))
     assert report.trials_run == len(report.failures) == 3
     assert all(math.isnan(f.residual) for f in report.failures)
+
+
+#: tolerance of the schwarzian-expansion suite per ring; matrix(3) takes
+#: the dv-* suites' tolerance
+_EXPANSION_TOL = {"quaternion": 1e-9, "complex": 1e-9, "matrix": 1e-8,
+                  "rational": 1e-10}
+
+
+@pytest.mark.parametrize("ring", sorted(_EXPANSION_TOL))
+def test_schwarzian_expansion_runs_on_every_ring(ring):
+    report = run_suite(SuiteConfig("schwarzian-expansion", ring=ring, dim=3,
+                                   trials=100, tol=_EXPANSION_TOL[ring]))
+    assert report.passed and report.trials_skipped == 0
+    if ring == "rational":
+        assert report.max_residual == 0.0
 
 
 def _recording(body, drawn, skip):
