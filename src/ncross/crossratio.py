@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import NotInvertible, PairMismatch, SymmetryViolation, agree
-from .plucker import Vec2, qp_left
+from .plucker import Vec2, qp_left, x_gap
 from .scalars import DEFAULT_ATOL, Scalar
 
 
@@ -42,11 +42,6 @@ def affine_vec2(v: Scalar) -> Vec2:
 # noncommutative angles
 
 
-def _x_gap(a: Vec2, b: Vec2) -> Scalar:
-    """x_ab = b1 - a1 a2^-1 b2 (row-1 form of the 2x2 quasideterminant)."""
-    return b.x1 - a.x1 * (a.x2.inv() * b.x2)
-
-
 def nc_angle(ai: Vec2, aj: Vec2, ak: Vec2, tol: float = DEFAULT_ATOL) -> Scalar:
     """Noncommutative angle (lambda-length) T_i^jk = x_ji^-1 x_jk x_ik^-1.
 
@@ -55,7 +50,7 @@ def nc_angle(ai: Vec2, aj: Vec2, ak: Vec2, tol: float = DEFAULT_ATOL) -> Scalar:
     violation of that antisymmetry raises SymmetryViolation."""
 
     def one(j, k):
-        return _x_gap(j, ai).inv() * _x_gap(j, k) * _x_gap(ai, k).inv()
+        return x_gap(j, ai).inv() * x_gap(j, k) * x_gap(ai, k).inv()
 
     t1 = one(aj, ak)
     t2 = one(ak, aj)

@@ -100,19 +100,23 @@ def _evaluate(ci, cj, ck, i: int, j: int, k: int, tol: float) -> Scalar:
     return _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol)
 
 
-def _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol):
-    """The generic evaluation: both row forms in the ring's own operators,
-    cross-checked by ``agreed``."""
+def x_gap(a, b) -> Scalar:
+    """x_ab = b_1 - a_1 a_2^-1 b_2 of two two-entry columns a and b: the
+    boxed top-row entry of the 2 x 2 quasideterminant with columns a, b."""
+    return b[0] - a[0] * (a[1].inv() * b[1])
 
-    def form(top_i, bot_i, top_j, bot_j, top_k, bot_k):
-        # boxed entries in the top row of the two 2x2 quasideterminants
-        binv = bot_k.inv()
-        left = top_i - top_k * (binv * bot_i)
-        right = top_j - top_k * (binv * bot_j)
+
+def _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol):
+    """The generic evaluation: both row forms x_gap(ck, ci)^-1
+    x_gap(ck, cj), the second with the rows swapped, in the ring's own
+    operators, cross-checked by ``agreed``."""
+
+    def form(ci, cj, ck):
+        left, right = x_gap(ck, ci), x_gap(ck, cj)
         return left.inv() * right
 
-    return agreed((lambda: form(a1i, a2i, a1j, a2j, a1k, a2k),
-                   lambda: form(a2i, a1i, a2j, a1j, a2k, a1k)),
+    return agreed((lambda: form((a1i, a2i), (a1j, a2j), (a1k, a2k)),
+                   lambda: form((a2i, a1i), (a2j, a1j), (a2k, a1k))),
                   tol, RowFormMismatch, f"qp_left k={k},i={i},j={j}")
 
 

@@ -6,10 +6,11 @@ exact jet shifts, so the only floating-point noise comes from ring
 arithmetic — except infinitesimal_ceva, which integrates a real scalar
 field along segments with a 21-point Gauss-Kronrod rule.  For its midpoint
 construction the distortion c - 1 starts at order eps^3 with a closed
-form in the derivatives of log kappa; the eps^2 coefficient is
-identically zero.  Points, directions and kappa's derivatives there are
-plain tuples of floats with the 2-vector arithmetic written out, so the
-module needs no numpy.
+form in the derivatives of log kappa along the three sides; the eps^2
+coefficient is identically zero.  Each kappa field gives those directional
+derivatives in closed form.  Points and directions there are plain tuples
+of floats with the 2-vector arithmetic written out, so the module needs no
+numpy.
 
 Real constants (binomials, 1/2, 3/2, ...) act on ring scalars by
 ``Scalar.scale``, and each check builds its jets only to the orders it
@@ -24,8 +25,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
-                     NotInvertible, NumericalBreakdown, QuadratureFailure,
-                     UndefinedExpression, relative_residual)
+                     NotInvertible, QuadratureFailure, UndefinedExpression,
+                     relative_residual)
 from .jets import DEFAULT_ORDER, Jet, binomials, leibniz
 from .plucker import qp_right
 from .scalars import DEFAULT_ATOL, Scalar
@@ -207,11 +208,11 @@ def gauge_theorem_check(f1: Jet, f2: Jet, a: Jet, b: Jet,
     phi = f1.inv() * f2
     pd = phi.derivative()
     if f1.ring.name != "rational":
-        # theta inverts phi'; past this conditioning the candidate gap is
-        # pure rounding noise, so the draw is reported as a breakdown
+        # theta inverts phi'; past this conditioning that inverse is not
+        # trustworthy and the candidate gap is pure rounding noise
         kappa = pd[0].norm() * pd[0].inv().norm()
         if kappa > 1e4:
-            raise NumericalBreakdown(
+            raise NotInvertible(
                 f"phi' conditioning {kappa:.3g} too large for theta")
     theta = pd.derivative().truncate(m) * pd.truncate(m).inv()
     # transformed f1 satisfies f1~' = -(f1~/2) theta
@@ -277,67 +278,42 @@ def schwarzian_equation_check(g: Jet, f0: Scalar, f1: Scalar,
 
 
 class KappaField(NamedTuple):
-    """A positive conformal factor kappa on the plane with closed-form
-    derivatives, as nested tuples of floats: the gradient (2,), the
-    hessian (2, 2) and the symmetric tensor of third derivatives
-    (2, 2, 2)."""
+    """A positive conformal factor kappa on the plane.  ``log_along(x, y,
+    u)`` gives, in closed form, the first three derivatives of
+    l = log kappa at (x, y) along the direction u: (l_u, l_uu, l_uuu)."""
     name: str
     value: Callable[[float, float], float]
-    gradient: Callable[[float, float], tuple]
-    hessian: Callable[[float, float], tuple]
-    third: Callable[[float, float], tuple]
-
-
-_ZERO1 = (0.0, 0.0)
-_ZERO2 = (_ZERO1, _ZERO1)
-_ZERO3 = (_ZERO2, _ZERO2)
+    log_along: Callable[[float, float, tuple], tuple]
 
 
 def _gauss(x, y):
     return math.exp(-(x * x + y * y) / 2)
 
 
-def _gauss_gradient(x, y):
-    g = -_gauss(x, y)
-    return (g * x, g * y)
+def _poly_log_along(x, y, u):
+    # kappa = 1 + x^2 + 2 y^2 is quadratic, so kappa_uuu = 0; with
+    # a = kappa_u / kappa and b = kappa_uu / kappa, l_uu = b - a^2 and
+    # l_uuu = 2 a^3 - 3 a b
+    k = 1.0 + x * x + 2.0 * y * y
+    a = (2.0 * x * u[0] + 4.0 * y * u[1]) / k
+    b = (2.0 * u[0] * u[0] + 4.0 * u[1] * u[1]) / k
+    return a, b - a * a, 2.0 * a * a * a - 3.0 * a * b
 
 
-def _gauss_hessian(x, y):
-    g = _gauss(x, y)
-    xy = g * (x * y)
-    return ((g * (x * x - 1.0), xy), (xy, g * (y * y - 1.0)))
-
-
-def _gauss_third(x, y):
-    # d_ijk kappa = kappa (d_ij x_k + d_ik x_j + d_jk x_i - x_i x_j x_k)
-    g = _gauss(x, y)
-    xxy, xyy = g * (y - x * x * y), g * (x - x * y * y)
-    return (((g * (3.0 * x - x ** 3), xxy), (xxy, xyy)),
-            ((xxy, xyy), (xyy, g * (3.0 * y - y ** 3))))
-
-
-def _exp_y_third(x, y):
-    return (_ZERO2, (_ZERO1, (0.0, math.exp(y))))
-
-
+#: log kappa is 0, y, -(x^2 + y^2)/2 and log(1 + x^2 + 2 y^2)
 KAPPA_FIELDS = {
     "const1": KappaField(
         "const1", lambda x, y: 1.0,
-        lambda x, y: _ZERO1,
-        lambda x, y: _ZERO2,
-        lambda x, y: _ZERO3),
+        lambda x, y, u: (0.0, 0.0, 0.0)),
     "exp_y": KappaField(
         "exp_y", lambda x, y: math.exp(y),
-        lambda x, y: (0.0, math.exp(y)),
-        lambda x, y: (_ZERO1, (0.0, math.exp(y))),
-        _exp_y_third),
+        lambda x, y, u: (u[1], 0.0, 0.0)),
     "gauss": KappaField(
-        "gauss", _gauss, _gauss_gradient, _gauss_hessian, _gauss_third),
+        "gauss", _gauss,
+        lambda x, y, u: (-(x * u[0] + y * u[1]), -(u[0] * u[0] + u[1] * u[1]),
+                         0.0)),
     "poly": KappaField(
-        "poly", lambda x, y: 1.0 + x * x + 2.0 * y * y,
-        lambda x, y: (2.0 * x, 4.0 * y),
-        lambda x, y: ((2.0, 0.0), (0.0, 4.0)),
-        lambda x, y: _ZERO3),
+        "poly", lambda x, y: 1.0 + x * x + 2.0 * y * y, _poly_log_along),
 }
 
 
@@ -423,33 +399,13 @@ class CevaInfinitesimal(NamedTuple):
     s3: float        # closed-form eps^3 coefficient of c_minus_1
 
 
-def _over(t, k):
-    """The nested tuple tensor t with every entry divided by k."""
-    return tuple(_over(r, k) for r in t) if isinstance(t, tuple) else t / k
-
-
-def _contract(t, u):
-    """Contract the last index of the nested tuple tensor t with the
-    2-vector u."""
-    if isinstance(t[0], tuple):
-        return tuple(_contract(r, u) for r in t)
-    return t[0] * u[0] + t[1] * u[1]
-
-
 def _ceva_s3(field: KappaField, x, sides) -> float:
     """(1/12) sum over side directions u of l_uuu - l_u l_uu at x, for
-    l = log kappa, from kappa's closed-form derivatives."""
-    k = float(field.value(x[0], x[1]))
-    grad, hess, third = (_over(f(x[0], x[1]), k) for f in
-                         (field.gradient, field.hessian, field.third))
+    l = log kappa."""
     total = 0.0
     for u in sides:
-        g = _contract(grad, u)
-        h = _contract(_contract(hess, u), u)
-        t = _contract(_contract(_contract(third, u), u), u)
-        l_uu = h - g * g
-        l_uuu = t - 3.0 * g * h + 2.0 * g * g * g
-        total += l_uuu - g * l_uu
+        l_u, l_uu, l_uuu = field.log_along(x[0], x[1], u)
+        total += l_uuu - l_u * l_uu
     return total / 12
 
 

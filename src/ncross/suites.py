@@ -23,7 +23,7 @@ from .errors import (DrawBudgetExceeded, NumericalBreakdown,
                      UnsupportedRingForSuite, relative_residual)
 from .jets import Jet
 from .linalg import solve_left
-from .plucker import Vec2, qp_left, qp_right, plucker_minor
+from .plucker import Vec2, qp_left, qp_right, plucker_minor, x_gap
 from .scalars import (Ring, Seed, Scalar, conjugate_by, ring_by_name,
                       scalar_to_json, similar)
 
@@ -235,7 +235,7 @@ def _t_crossratio_permutations(d: Draw, tol: float) -> list:
     a1, a2, a3, a4 = x, y, z, t
     T4_23 = crossratio.nc_angle(a4, a2, a3, tol)
     T4_31 = crossratio.nc_angle(a4, a3, a1, tol)
-    x43 = crossratio._x_gap(a4, a3)
+    x43 = x_gap(a4, a3)
     res.append((K(a1, a2, a3, a4, tol)
                 + x43.inv() * T4_23.inv() * T4_31 * x43).norm())
     Tjk = crossratio.nc_angle(a1, a2, a3, tol)

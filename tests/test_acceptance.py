@@ -18,7 +18,7 @@ from ncross.schwarzian import (VectorFieldPair, gauge_theorem_check,
                                infinitesimal_ceva, kappa_field, nc_schwarzian,
                                propagate_left, recover_ode_coeffs,
                                schwarzian_equation_check)
-from ncross.errors import NumericalBreakdown
+from ncross.errors import NotInvertible, NumericalBreakdown
 from ncross.scalars import RationalScalar, ring_by_name
 from ncross.suites import Draw, SuiteConfig, run_suite
 from fractions import Fraction
@@ -122,7 +122,7 @@ def _gauge_reports(ring_name, n=100, dim=3):
         f2 = propagate_left(a, b, d.scalar(), d.scalar(), 6)
         try:
             reps.append(gauge_theorem_check(f1, f2, a, b))
-        except NumericalBreakdown:
+        except (NotInvertible, NumericalBreakdown):
             skipped += 1
     return reps, skipped
 

@@ -145,29 +145,43 @@ def test_infinitesimal_ceva_flat():
 
 
 def test_infinitesimal_ceva_exp_s3():
-    vf = VectorFieldPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                         kappa_field("exp_y"))
     # log kappa = y is linear, so the Ceva product is exactly 1 at every eps
-    for k in range(3, 8):
-        rep = infinitesimal_ceva(vf, np.array([0.0, 0.0]), 2.0 ** -k)
-        assert rep.s3 == 0.0
-        assert abs(rep.c_minus_1) <= 1e-15
+    for xi, eta in (((1.0, 0.0), (0.0, 1.0)), ((1.5, 0.3), (-0.5, 2.0))):
+        vf = VectorFieldPair(np.array(xi), np.array(eta), kappa_field("exp_y"))
+        for k in range(3, 8):
+            rep = infinitesimal_ceva(vf, np.array([0.0, 0.0]), 2.0 ** -k)
+            assert rep.s3 == 0.0
+            assert abs(rep.c_minus_1) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["const1", "exp_y", "gauss", "poly"])
+def test_infinitesimal_ceva_degenerate_s3_is_zero(name):
+    """For xi = eta the sides are xi, 0 and -xi, whose terms cancel
+    exactly: ceva-infinitesimal reports |s3| of that triangle as 0."""
+    for xi in ((1.0, 1.0), (1.5, 0.3), (-0.5, 2.0)):
+        vf = VectorFieldPair(xi, xi, kappa_field(name))
+        for base in ((0.0, 0.0), (0.3, -0.2), (0.1, 0.7), (-1.3, 0.45)):
+            assert infinitesimal_ceva(vf, base, 0.05).s3 == 0.0
 
 
 @pytest.mark.parametrize("name", ["const1", "exp_y", "gauss", "poly"])
 def test_kappa_field_derivatives_match_differences(name):
+    """Central differences along axis and skewed directions u: of
+    log kappa against l_u, and of each order of ``log_along`` against the
+    next."""
     f = kappa_field(name)
     x, y, h = 0.3, -0.2, 1e-5
-    e = np.eye(2) * h
+    for u in ((1.0, 0.0), (0.0, 1.0), (1.5, 0.3), (-0.5, 2.0)):
 
-    def diff(g):  # central difference of g along each axis, stacked last
-        return np.stack([np.subtract(g(x + e[i, 0], y + e[i, 1]),
-                                     g(x - e[i, 0], y - e[i, 1])) / (2 * h)
-                         for i in range(2)], axis=-1)
+        def diff(g):  # central difference of g along u at (x, y)
+            return np.subtract(g(x + h * u[0], y + h * u[1]),
+                               g(x - h * u[0], y - h * u[1])) / (2 * h)
 
-    assert np.allclose(diff(f.value), f.gradient(x, y), atol=1e-8)
-    assert np.allclose(diff(f.gradient), f.hessian(x, y), atol=1e-8)
-    assert np.allclose(diff(f.hessian), f.third(x, y), atol=1e-8)
+        l_u, l_uu, l_uuu = f.log_along(x, y, u)
+        assert np.allclose(diff(lambda x, y: math.log(f.value(x, y))), l_u,
+                           atol=1e-8)
+        assert np.allclose(diff(lambda x, y: f.log_along(x, y, u)[:2]),
+                           (l_uu, l_uuu), atol=1e-8)
 
 
 def richardson_c_over_eps3(vf, x, eps):
@@ -289,7 +303,7 @@ def test_seg_length_matches_scipy_quad():
 
 
 def _field(value):
-    return KappaField("test", value, None, None, None)
+    return KappaField("test", value, None)
 
 
 def test_seg_length_rejects_non_positive_kappa():
