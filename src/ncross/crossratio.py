@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import NotInvertible, PairMismatch, SymmetryViolation, agree
-from .plucker import Vec2, qp_left, x_gap
+from .plucker import Vec2, qp_left, x_gaps
 from .scalars import DEFAULT_ATOL, Scalar
 
 
@@ -49,11 +49,13 @@ def nc_angle(ai: Vec2, aj: Vec2, ak: Vec2, tol: float = DEFAULT_ATOL) -> Scalar:
     (the commutative reduction makes this exact); both are evaluated and a
     violation of that antisymmetry raises SymmetryViolation."""
 
-    def one(j, k):
-        return x_gap(j, ai).inv() * x_gap(j, k) * x_gap(ai, k).inv()
+    def one(j, k, x_ik):
+        x_ji, x_jk = x_gaps(j, ai, k)
+        return x_ji.inv() * x_jk * x_ik.inv()
 
-    t1 = one(aj, ak)
-    t2 = one(ak, aj)
+    x_ik, x_ij = x_gaps(ai, ak, aj)
+    t1 = one(aj, ak, x_ik)
+    t2 = one(ak, aj, x_ij)
     if not agree(t1, -t2, tol):
         raise SymmetryViolation(
             f"angle orders fail antisymmetry by {(t1 + t2).norm():.3g}")

@@ -100,19 +100,22 @@ def _evaluate(ci, cj, ck, i: int, j: int, k: int, tol: float) -> Scalar:
     return _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol)
 
 
-def x_gap(a, b) -> Scalar:
-    """x_ab = b_1 - a_1 a_2^-1 b_2 of two two-entry columns a and b: the
-    boxed top-row entry of the 2 x 2 quasideterminant with columns a, b."""
-    return b[0] - a[0] * (a[1].inv() * b[1])
+def x_gaps(a, *bs) -> list:
+    """[x_ab for b in bs], x_ab = b_1 - a_1 a_2^-1 b_2 for two-entry
+    columns a and b: the boxed top-row entry of the 2 x 2 quasideterminant
+    with columns a, b.  a_2 is inverted once for all of them."""
+    pivot = a[1].inv()
+    return [b[0] - a[0] * (pivot * b[1]) for b in bs]
 
 
 def _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol):
-    """The generic evaluation: both row forms x_gap(ck, ci)^-1
-    x_gap(ck, cj), the second with the rows swapped, in the ring's own
-    operators, cross-checked by ``agreed``."""
+    """The generic evaluation: both row forms x_{k,i}^-1 x_{k,j} (see
+    ``x_gaps``), the second with the rows swapped, in the ring's own
+    operators, cross-checked by ``agreed``.  Each form inverts its pivot
+    once."""
 
     def form(ci, cj, ck):
-        left, right = x_gap(ck, ci), x_gap(ck, cj)
+        left, right = x_gaps(ck, ci, cj)
         return left.inv() * right
 
     return agreed((lambda: form((a1i, a2i), (a1j, a2j), (a1k, a2k)),

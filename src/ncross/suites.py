@@ -6,7 +6,18 @@ residuals as a list; ``run_suite`` alone reduces it to the trial's worst,
 and a NaN anywhere in it fails the trial.  Degenerate draws
 (UndefinedExpression) are skipped and counted; a suite only fails when a
 residual exceeds the tolerance on a well-defined trial, or when the
-skipped fraction exceeds the ceiling."""
+skipped fraction exceeds the ceiling.
+
+Every suite draws trial t's k-th scalar from the same counter,
+t * ``_STRIDE`` + k, so suites run at one seed in one process draw mostly
+the same scalars, and a failing trial's ``Draw.inputs`` re-draws its own.
+``Draw`` serves those repeats from a draw pool: per ring, the scalars it
+has drawn at its latest seed, keyed by counter, at most ``POOL_CAP`` of
+them.  A ``Draw`` at another seed replaces its ring's pool, and
+``clear_draw_pool`` empties every pool.  Every scalar is immutable, so a
+pooled scalar is the value, to the bit, that ``Ring.sample`` would draw
+again; a pooled matrix also keeps its memoised condition number and
+inverse."""
 
 from __future__ import annotations
 
@@ -23,7 +34,7 @@ from .errors import (DrawBudgetExceeded, NumericalBreakdown,
                      UnsupportedRingForSuite, relative_residual)
 from .jets import Jet
 from .linalg import solve_left
-from .plucker import Vec2, qp_left, qp_right, plucker_minor, x_gap
+from .plucker import Vec2, qp_left, qp_right, plucker_minor, x_gaps
 from .scalars import (Ring, Seed, Scalar, conjugate_by, ring_by_name,
                       scalar_to_json, similar)
 
@@ -34,26 +45,60 @@ SKIP_CEILING = 0.05
 #: reuse the next trial's stream
 _STRIDE = 100003
 
+#: scalars the draw pool keeps per ring; a 100-trial round of suites
+#: draws at most about 2,000 distinct counters of one ring
+POOL_CAP = 4096
+
+#: ring -> (seed, {counter: scalar}), the draw pool; first-come, not LRU:
+#: it holds no earlier seed's draws, and a round past the cap still hits
+#: on the draws it holds
+_pool: dict = {}
+
+
+def clear_draw_pool() -> None:
+    """Empty the draw pool of every ring, releasing its scalars."""
+    _pool.clear()
+
 
 class Draw:
-    """Deterministic scalar source for one trial; it counts its draws."""
+    """Deterministic scalar source for one trial; it counts its draws.
+
+    A draw missing from the ring's draw pool is ``ring.sample(Seed(seed,
+    counter))``, stored while the pool holds fewer than ``POOL_CAP``
+    scalars; a draw in the pool is the stored scalar, the same value and
+    bits.  Draws hit when several suites run at one seed in one process,
+    and when a failing trial's inputs are logged; the other draws of one
+    suite call at a fresh seed draw each counter once."""
 
     def __init__(self, ring: Ring, seed: int, trial: int):
         self.ring = ring
         self.seed = seed
         self.trial = trial
         self.k = 0
+        entry = _pool.get(ring)
+        if entry is None or entry[0] != seed:
+            entry = _pool[ring] = (seed, {})
+        self._drawn = entry[1]
 
     def scalar(self) -> Scalar:
         if self.k >= _STRIDE:
             raise DrawBudgetExceeded(
                 f"trial {self.trial} drew more than {_STRIDE} scalars")
-        s = self.ring.sample(Seed(self.seed, self.trial * _STRIDE + self.k))
+        counter = self.trial * _STRIDE + self.k
+        drawn = self._drawn
+        s = drawn.get(counter)
+        if s is None:
+            s = self.ring.sample(Seed(self.seed, counter))
+            if len(drawn) < POOL_CAP:
+                drawn[counter] = s
         self.k += 1
         return s
 
     def inputs(self) -> list:
-        """The JSON of the scalars drawn so far, re-drawn from the stream."""
+        """The JSON of the scalars drawn so far, re-drawn through the draw
+        pool, which holds the trial's draws unless it was full: pooled
+        draws are the very scalars drawn, the others are sampled again
+        from the stream, to the same bits."""
         replay = Draw(self.ring, self.seed, self.trial)
         return [scalar_to_json(replay.scalar()) for _ in range(self.k)]
 
@@ -235,7 +280,7 @@ def _t_crossratio_permutations(d: Draw, tol: float) -> list:
     a1, a2, a3, a4 = x, y, z, t
     T4_23 = crossratio.nc_angle(a4, a2, a3, tol)
     T4_31 = crossratio.nc_angle(a4, a3, a1, tol)
-    x43 = x_gap(a4, a3)
+    x43, = x_gaps(a4, a3)
     res.append((K(a1, a2, a3, a4, tol)
                 + x43.inv() * T4_23.inv() * T4_31 * x43).norm())
     Tjk = crossratio.nc_angle(a1, a2, a3, tol)

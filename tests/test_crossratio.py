@@ -7,8 +7,9 @@ from ncross.crossratio import (PolarizationQuad, affine_vec2, cross_ratio,
                                nc_angle, triple_ratio)
 from ncross.errors import NotInvertible, UndefinedExpression
 from ncross.plucker import Vec2
-from ncross.scalars import (QUATERNION, RATIONAL, RationalScalar, Seed,
-                            conjugate_by, sample, similar)
+from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, RationalScalar,
+                            Seed, conjugate_by, sample, scalar_to_json,
+                            similar)
 
 
 def rs(v):
@@ -120,3 +121,43 @@ def test_cocycle_chain():
     lhs = cross_ratio(w, y, z, t) * cross_ratio(x, w, z, t)
     rhs = cross_ratio(x, y, z, t)
     assert (lhs - rhs).norm() < 1e-10
+
+
+def _parent_nc_angle(ai, aj, ak, tol):
+    """``nc_angle`` as it was written when each x-gap inverted its own
+    pivot: the reference for the bits of the one-inverse form."""
+
+    def gap(a, b):
+        return b[0] - a[0] * (a[1].inv() * b[1])
+
+    def one(j, k):
+        return gap(j, ai).inv() * gap(j, k) * gap(ai, k).inv()
+
+    t1, t2 = one(aj, ak), one(ak, aj)
+    assert (t1 + t2).norm() <= tol * (1.0 + max(t1.norm(), t2.norm()))
+    return t1
+
+
+@pytest.mark.parametrize("ring", [COMPLEX, RATIONAL, QUATERNION],
+                         ids=lambda r: r.name)
+def test_nc_angle_keeps_the_bits_with_one_pivot_inverse(ring):
+    for n in range(200):
+        a = [Vec2(sample(ring, Seed(700 + n, 2 * k)),
+                  sample(ring, Seed(700 + n, 2 * k + 1))) for k in range(3)]
+        assert (scalar_to_json(nc_angle(*a, tol=1e-8))
+                == scalar_to_json(_parent_nc_angle(*a, 1e-8))), n
+
+
+def test_nc_angle_inverts_each_pivot_once(monkeypatch):
+    """The pivots of a_i, a_j and a_k and two gaps per order, 7
+    inverses, where inverting the pivot in each x-gap took 10."""
+    calls = []
+    inv = RationalScalar.inv
+
+    def counting(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(RationalScalar, "inv", counting)
+    nc_angle(raff(0), raff(1), raff(3))
+    assert len(calls) == 7

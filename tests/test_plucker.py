@@ -437,3 +437,73 @@ def test_compute_qp_left_prints_the_generic_bytes(tmp_path, monkeypatch):
     generic = [compute_qp_left(tmp_path, p) for p in payloads]
     assert fast == generic
     assert [code for code, _, _ in fast] == [0, 0, 0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# one pivot inverse per row form
+
+def _parent_ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol):
+    """``_ring_rows`` as it was written when each x-gap inverted its own
+    pivot: the reference for the bits of the one-inverse form."""
+
+    def gap(a, b):
+        return b[0] - a[0] * (a[1].inv() * b[1])
+
+    def form(ci, cj, ck):
+        return gap(ck, ci).inv() * gap(ck, cj)
+
+    return errors.agreed((lambda: form((a1i, a2i), (a1j, a2j), (a1k, a2k)),
+                          lambda: form((a2i, a1i), (a2j, a1j), (a2k, a1k))),
+                         tol, RowFormMismatch, f"qp_left k={k},i={i},j={j}")
+
+
+def _outcome_bits(call):
+    try:
+        return bits(call())
+    except errors.NCError as e:
+        return type(e), str(e)
+
+
+PIVOT_RINGS = [COMPLEX, RATIONAL, QUATERNION, matrix_ring(3)]
+
+
+@pytest.mark.parametrize("ring", PIVOT_RINGS, ids=lambda r: r.name)
+def test_one_pivot_inverse_keeps_the_bits(ring):
+    zero = ring.zero
+    outcomes = set()
+    for n in range(200):
+        cols = ring_vecs(ring, 3, seed=500 + n)
+        if n % 25 == 0:  # a zero pivot in the first row form
+            cols[2] = Vec2(cols[2].x1, zero)
+        if n % 25 == 1:  # column k a multiple of column i: no gap survives
+            cols[2] = Vec2(cols[0].x1 * cols[1].x1, cols[0].x2 * cols[1].x1)
+        args = (*cols[0], *cols[1], *cols[2], 0, 1, 2, 1e-9)
+        new = _outcome_bits(lambda: plucker._ring_rows(*args))
+        assert new == _outcome_bits(lambda: _parent_ring_rows(*args)), n
+        outcomes.add(type(new))
+    assert str in outcomes and tuple in outcomes
+
+
+@pytest.mark.parametrize("cls, ring", [("ComplexScalar", COMPLEX),
+                                       ("RationalScalar", RATIONAL)])
+def test_each_row_form_inverts_its_pivot_once(cls, ring, monkeypatch):
+    """Two row forms, each one pivot and one gap inverse: 4 inverses per
+    evaluation, where inverting the pivot in each x-gap took 6."""
+    from ncross import scalars
+    owner = getattr(scalars, cls)
+    calls = []
+    inv = owner.inv
+
+    def counting(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(owner, "inv", counting)
+    for seed in range(10):
+        cols = ring_vecs(ring, 3, seed=600 + seed)
+        del calls[:]
+        plucker._ring_rows(*cols[0], *cols[1], *cols[2], 0, 1, 2, 1e-9)
+        assert len(calls) == 4
+        del calls[:]
+        qp_left(cols, 0, 1, 2)  # fresh columns: a memo miss
+        assert len(calls) == 4
