@@ -9,7 +9,7 @@
 from ncross import QUATERNION, Seed, sample
 from ncross.jets import Jet, cos_jet, tan_jet
 from ncross.schwarzian import (expansion_check, gauge_theorem_check,
-                               nc_schwarzian, propagate_left,
+                               moebius_check, nc_schwarzian, propagate_left,
                                schwarzian_equation_check)
 from ncross.scalars import COMPLEX
 
@@ -25,6 +25,11 @@ print("expansion residuals at orders 0, 1, 2:",
       ["%.1e" % r for r in expansion_check(z)])
 q = Jet([sample(QUATERNION, Seed(0, k)) for k in range(4)])
 print("and on a quaternion curve:", ["%.1e" % r for r in expansion_check(q)])
+# a Moebius map conjugates it: Sch((a q + b)(c q + d)^-1) = g Sch(q) g^-1,
+# g = c q(0) + d; an affine map (c = 0, d = 1) leaves it unchanged
+abcd = [sample(QUATERNION, Seed(4, k)) for k in range(4)]
+print("Moebius covariance residuals, general and affine:",
+      ["%.1e" % r for r in moebius_check(q, *abcd)])
 
 # --- 2: the gauge picture ----------------------------------------------
 

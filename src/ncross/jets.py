@@ -14,15 +14,24 @@ takes sixteen, and a coefficient 1 is skipped (``x * 1.0`` is exact).
 Against products with the same constants as ring scalars, every bit is
 kept except the sign of an exact-zero component and NaN/inf propagation.
 
-Every jet product, jet inverse, left quotient and right-coefficient ODE
-propagation (``schwarzian._ldiv``, ``propagate_right``,
-``propagate_gauge``) is one Leibniz sum, ``leibniz``.  Two loops keep
-their own.  Each term of ``schwarzian.propagate_left`` is
-a_k c_{n+1-k} + b_k c_{n-k}, two products added before the scaling; a sum
-of one product per term would regroup those additions and move bits.
-``Jet.eval`` weights by Taylor weights, not by a binomial row; no check
-evaluates a jet at a point, since the Schwarzian expansion is checked as
-an identity of jets in eps.
+Every jet product, jet inverse, left quotient and ODE propagation
+(``schwarzian._ldiv``, ``propagate_left``, ``propagate_right``,
+``propagate_gauge``) is one Leibniz sum, ``leibniz``.  A term of
+``propagate_left`` is a_k c_{n+1-k} + b_k c_{n-k}: ``leibniz`` adds its
+two products before the scaling, as a sum of one product per term could
+not without regrouping those additions and moving bits.  Only
+``Jet.eval`` keeps its own loop: it weights by Taylor weights, not by a
+binomial row, and no check evaluates a jet at a point, since the
+Schwarzian expansion is checked as an identity of jets in eps.
+
+When ``zero`` and every entry a sum reads are exactly ``Quaternion``
+(``type(...) is Quaternion``, as ``plucker._evaluate`` checks),
+``leibniz`` runs the sum on their float components, in the operation
+order of ``Quaternion.__mul__``, ``__add__`` and ``scale``, and builds
+only the result.  Its value then has every bit, NaN sign and payload
+included, of the same sum in the ring's operators, which every other
+entry takes (``_ring_sum``): matrices, complex numbers, rationals, a
+``Quaternion`` subclass, or a stray float or int.
 
 A coefficient of order m of a product or an inverse reads only orders up
 to m, in the same sequence, so truncating the operands first keeps its
@@ -36,7 +45,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, NotInvertible
-from .scalars import Ring, Scalar, _real
+from .scalars import Quaternion, Ring, Scalar, _new, _real
 
 DEFAULT_ORDER = 6
 
@@ -60,15 +69,68 @@ def _taylor_weights(ring: Ring, s, order: int) -> tuple:
     return tuple(map(ring.real, ws))
 
 
-def leibniz(x, y, n: int, row: tuple, zero: Scalar, start: int = 0) -> Scalar:
-    """zero + sum_{k=start..n} C(n, k) x[k] y[n-k] for start 0 or 1, where
-    ``row`` is row n of ``binomials``.  The terms are added in k order and
-    C(n, 0) = C(n, n) = 1: the two end terms are not scaled."""
-    acc = zero if start else zero + x[0] * y[n]
+def leibniz(x, y, n: int, row: tuple, zero: Scalar, start: int = 0,
+            u=None, v=None) -> Scalar:
+    """zero + sum_{k=start..n} C(n, k) t_k for start 0 or 1, where ``row``
+    is row n of ``binomials`` and the term t_k is x[k] y[n-k], or
+    x[k] y[n-k] + u[k] v[n-k] when ``u`` and ``v`` are given: the two
+    products are added before the scaling.  The terms are added in k
+    order and C(n, 0) = C(n, n) = 1: the two end terms are not scaled.
+
+    When ``zero`` and every entry read are exactly ``Quaternion``, the sum
+    runs on their float components, each step in the operation order of
+    ``Quaternion.__mul__``, ``__add__`` and ``scale``, and only the result
+    is built; it has the bits of the ring operators, which every other
+    entry takes (``_ring_sum``)."""
+    if type(zero) is Quaternion:
+        s0, s1, s2, s3 = zero
+        for k in range(start, n + 1):
+            p, q = x[k], y[n - k]
+            if not type(p) is type(q) is Quaternion:
+                break
+            a, b, c, d = p
+            e, f, g, h = q
+            t0 = a * e - b * f - c * g - d * h
+            t1 = a * f + b * e + c * h - d * g
+            t2 = a * g - b * h + c * e + d * f
+            t3 = a * h + b * g - c * f + d * e
+            if u is not None:
+                p, q = u[k], v[n - k]
+                if not type(p) is type(q) is Quaternion:
+                    break
+                a, b, c, d = p
+                e, f, g, h = q
+                t0 = t0 + (a * e - b * f - c * g - d * h)
+                t1 = t1 + (a * f + b * e + c * h - d * g)
+                t2 = t2 + (a * g - b * h + c * e + d * f)
+                t3 = t3 + (a * h + b * g - c * f + d * e)
+            if 0 < k < n:
+                r = row[k]
+                s0 = s0 + t0 * r
+                s1 = s1 + t1 * r
+                s2 = s2 + t2 * r
+                s3 = s3 + t3 * r
+            else:
+                s0 = s0 + t0
+                s1 = s1 + t1
+                s2 = s2 + t2
+                s3 = s3 + t3
+        else:
+            return _new(Quaternion, (s0, s1, s2, s3))
+    return _ring_sum(x, y, n, row, zero, start, u, v)
+
+
+def _ring_sum(x, y, n, row, zero, start, u, v):
+    """``leibniz`` in the ring's own operators."""
+    def term(k):
+        t = x[k] * y[n - k]
+        return t if u is None else t + u[k] * v[n - k]
+
+    acc = zero if start else zero + term(0)
     for k in range(1, n):
-        acc = acc + (x[k] * y[n - k]).scale(row[k])
+        acc = acc + term(k).scale(row[k])
     if n:
-        acc = acc + x[n] * y[0]
+        acc = acc + term(n)
     return acc
 
 

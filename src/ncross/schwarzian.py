@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 from .errors import (BREAKDOWN_FACTOR, DegeneratePair, NonPositiveKappa,
                      NotInvertible, QuadratureFailure, UndefinedExpression,
                      relative_residual)
-from .jets import DEFAULT_ORDER, Jet, binomials, leibniz
+from .jets import DEFAULT_ORDER, Jet, binomials, leibniz, moebius_jet
 from .plucker import qp_right
 from .scalars import DEFAULT_ATOL, Scalar
 
@@ -102,6 +102,21 @@ def expansion_check(z: Jet) -> tuple:
             relative_residual(lhs[2], kernel.scale(curv)))
 
 
+def moebius_check(z: Jet, a: Scalar, b: Scalar, c: Scalar,
+                  d: Scalar) -> tuple:
+    """Relative residuals of the Moebius covariance of the Schwarzian,
+    S((a z + b)(c z + d)^-1) = g S(z) g^-1 with g = c z(0) + d, and of its
+    affine case c = 0, d = 1, S(a z + b) = S(z).  A singular c z + d, z'
+    or a z' is a degenerate draw (``NotInvertible``)."""
+    ring = z.ring
+    sz = nc_schwarzian(z)
+    g = c * z[0] + d
+    moved = nc_schwarzian(moebius_jet(a, b, c, d, z))
+    affine = nc_schwarzian(moebius_jet(a, b, ring.zero, ring.one, z))
+    return (relative_residual(moved, g * sz * g.inv()),
+            relative_residual(affine, sz))
+
+
 # ---------------------------------------------------------------------------
 # second-order ODEs with left coefficients: f'' + a f' + b f = 0
 
@@ -113,15 +128,10 @@ def propagate_left(a: Jet, b: Jet, f0: Scalar, f1: Scalar,
     c = [f0, f1]
     ring = f0.ring
     rows = binomials(ring, order)
+    a, b = a.coeffs, b.coeffs
     for n in range(order - 1):
-        row = rows[n]
-        # C(n, 0) = C(n, n) = 1: the two end terms are not scaled
-        acc = ring.zero + (a[0] * c[n + 1] + b[0] * c[n])
-        for k in range(1, n):
-            acc = acc + (a[k] * c[n + 1 - k] + b[k] * c[n - k]).scale(row[k])
-        if n:
-            acc = acc + (a[n] * c[1] + b[n] * c[0])
-        c.append(-acc)
+        # term k: a_k c_{n+1-k} + b_k c_{n-k}
+        c.append(-leibniz(a, c[1:], n, rows[n], ring.zero, u=b, v=c))
     return Jet(c, ring)
 
 

@@ -45,9 +45,10 @@ SKIP_CEILING = 0.05
 #: reuse the next trial's stream
 _STRIDE = 100003
 
-#: scalars the draw pool keeps per ring; a 100-trial round of suites
-#: draws at most about 2,000 distinct counters of one ring
-POOL_CAP = 4096
+#: scalars the draw pool keeps per ring.  A 100-trial benchmark round draws
+#: at most 2,000 distinct counters of one ring, which all fit; a one-off
+#: ``verify`` never repeats a draw, so whatever it pools is held for nothing
+POOL_CAP = 2048
 
 #: ring -> (seed, {counter: scalar}), the draw pool; first-come, not LRU:
 #: it holds no earlier seed's draws, and a round past the cap still hits
@@ -421,6 +422,11 @@ def _t_schwarzian_expansion(d: Draw, tol: float) -> list:
     return list(schwarzian.expansion_check(d.jet(3)))
 
 
+def _t_schwarzian_moebius(d: Draw, tol: float) -> list:
+    z = d.jet(3)
+    return list(schwarzian.moebius_check(z, *(d.scalar() for _ in range(4))))
+
+
 def _ode_pair(d: Draw, order: int):
     """Coefficient jets a, b of f'' + a f' + b f = 0 and two solutions
     f1, f2 propagated to ``order`` from drawn initial values.  Order m of
@@ -581,6 +587,9 @@ SUITES = {
         SuiteSpec("schwarzian-expansion", _t_schwarzian_expansion,
                   "cross-ratio of a curve's four points matches its "
                   "Schwarzian expansion at orders 0-2 in eps"),
+        SuiteSpec("schwarzian-moebius", _t_schwarzian_moebius,
+                  "S((a z + b)(c z + d)^-1) = g S(z) g^-1, g = c z(0) + d, "
+                  "and the affine case S(a z + b) = S(z)"),
         SuiteSpec("ode-roundtrip", _t_ode_roundtrip,
                   "recover left ODE coefficients from propagated solutions"),
         SuiteSpec("gauge-theorem", _t_gauge_theorem,

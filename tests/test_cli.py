@@ -113,7 +113,7 @@ def test_bad_flag_exit_2(capsys):
 def test_list_suites(capsys):
     assert main(["list-suites"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 18
+    assert len(lines) == 19
     assert any(line.startswith("plucker-properties") for line in lines)
 
 

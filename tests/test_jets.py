@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 import sys
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncross import jets, schwarzian
+from ncross.errors import NotInvertible
 from ncross.jets import (Jet, cos_jet, jet_from_function, moebius_jet, sin_jet,
                          tan_jet)
 from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, Quaternion,
@@ -322,8 +325,12 @@ _FULL_PRODUCTS = {"schwarzian-expansion": 420, "ode-roundtrip": 900,
 
 def test_full_quaternion_products_do_not_grow(monkeypatch):
     """A constant multiplied through a full Hamilton product again, or a jet
-    built to orders nobody reads, raises these counts."""
+    built to orders nobody reads, raises these counts.  The counts are
+    exact: products the float kernel of ``jets.leibniz`` forms are counted
+    as well as those through ``Quaternion.__mul__``, so a product the count
+    stops seeing lowers it and fails here too."""
     mul = Quaternion.__mul__
+    leibniz = jets.leibniz
     count = [0]
 
     def counting(p, q):
@@ -331,11 +338,270 @@ def test_full_quaternion_products_do_not_grow(monkeypatch):
             count[0] += 1
         return mul(p, q)
 
+    def counting_leibniz(x, y, n, row, zero, start=0, u=None, v=None):
+        pairs = [(x[k], y[n - k]) for k in range(start, n + 1)]
+        if u is not None:
+            pairs += [(u[k], v[n - k]) for k in range(start, n + 1)]
+        if type(zero) is Quaternion and all(
+                type(p) is type(q) is Quaternion for p, q in pairs):
+            count[0] += len(pairs)  # formed on floats by the kernel
+        return leibniz(x, y, n, row, zero, start, u, v)
+
     monkeypatch.setattr(Quaternion, "__mul__", counting)
+    monkeypatch.setattr(jets, "leibniz", counting_leibniz)
+    monkeypatch.setattr(schwarzian, "leibniz", counting_leibniz)
     got = {}
     for suite in _JET_SUITES:
         count[0] = 0
         run_suite(SuiteConfig(suite=suite, trials=20, seed=0))
         got[suite] = count[0]
-    assert got["gauge-theorem"] > 0  # the wrapper sees the products
-    assert all(got[s] <= _FULL_PRODUCTS[s] for s in _JET_SUITES), got
+    assert got == _FULL_PRODUCTS
+
+
+# ---------------------------------------------------------------------------
+# the quaternion float kernel of jets.leibniz against the ring operators
+
+
+def _ring_leibniz(x, y, n, row, zero, start=0, u=None, v=None):
+    """The Leibniz sum in the ring's own operators, as ``jets.leibniz``
+    computed it before its float kernel."""
+    def term(k):
+        t = x[k] * y[n - k]
+        return t if u is None else t + u[k] * v[n - k]
+
+    acc = zero if start else zero + term(0)
+    for k in range(1, n):
+        acc = acc + term(k).scale(row[k])
+    if n:
+        acc = acc + term(n)
+    return acc
+
+
+def _generic_mul(f, g):
+    rows = jets.binomials(f.ring, f.order)
+    return [_ring_leibniz(f, g, m, rows[m], f.ring.zero)
+            for m in range(len(f))]
+
+
+def _generic_inv(f):
+    try:
+        g0 = f[0].inv()
+    except NotInvertible as e:
+        raise NotInvertible(f"jet value not invertible: {e}") from e
+    rows = jets.binomials(f.ring, f.order)
+    out = [g0]
+    for n in range(1, len(f)):
+        out.append(-(g0 * _ring_leibniz(f, out, n, rows[n], f.ring.zero,
+                                         start=1)))
+    return out
+
+
+def _generic_ldiv(a, b):
+    a0inv = a[0].inv()
+    rows = jets.binomials(a.ring, a.order)
+    q = []
+    for n in range(len(a)):
+        q.append(a0inv * (b[n] - _ring_leibniz(a, q, n, rows[n], a.ring.zero,
+                                               start=1)))
+    return q
+
+
+def _generic_propagate_left(a, b, f0, f1, order):
+    rows = jets.binomials(f0.ring, order)
+    c = [f0, f1]
+    for n in range(order - 1):
+        row = rows[n]
+        acc = f0.ring.zero + (a[0] * c[n + 1] + b[0] * c[n])
+        for k in range(1, n):
+            acc = acc + (a[k] * c[n + 1 - k] + b[k] * c[n - k]).scale(row[k])
+        if n:
+            acc = acc + (a[n] * c[1] + b[n] * c[0])
+        c.append(-acc)
+    return c
+
+
+def _generic_propagate_right(r, f0, f1, order):
+    rows = jets.binomials(f0.ring, order)
+    c = [f0, f1]
+    for n in range(order - 1):
+        c.append(_ring_leibniz(c, r, n, rows[n], f0.ring.zero))
+    return c
+
+
+def _generic_propagate_gauge(a):
+    rows = jets.binomials(a.ring, a.order)
+    half = a.ring.real(Fraction(1, 2))
+    c = [a.ring.one]
+    for n, row in enumerate(rows):
+        c.append(_ring_leibniz(c, a, n, row, a.ring.zero).scale(half))
+    return c
+
+
+def _raw(x):
+    """Every bit of a quaternion or a float, NaN sign and payload included,
+    or the value itself for anything else."""
+    if type(x) is Quaternion:
+        return struct.pack("<4d", *x)
+    if type(x) is float:
+        return struct.pack("<d", x)
+    return x
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)`` (a scalar, or a sequence or jet of
+    them), or the type and message of what it raised."""
+    try:
+        got = fn(*args)
+    except Exception as e:  # compared, not swallowed
+        return type(e), str(e)
+    if isinstance(got, Jet):
+        got = got.coeffs
+    if isinstance(got, (list, tuple)) and type(got) is not Quaternion:
+        return [_raw(c) for c in got]
+    return _raw(got)
+
+
+#: components the special jets mix with drawn ones
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300,
+            -1e-300, 5e-324, -2.5e-320, 2.2e-308)
+
+
+def _special_jet(seed, order=6):
+    """A drawn quaternion jet in which about half of the components are
+    replaced by ``_SPECIAL`` values, chosen by a seeded generator."""
+    rnd = random.Random(seed)
+    coeffs = []
+    for k in range(order + 1):
+        q = list(sample(QUATERNION, Seed(seed, k)))
+        for i in range(4):
+            if rnd.random() < 0.5:
+                q[i] = rnd.choice(_SPECIAL)
+        coeffs.append(Quaternion(*q))
+    return Jet(coeffs, QUATERNION)
+
+
+def _kernel_cases():
+    """Pairs of quaternion jets of order 6: drawn, then with special
+    components, then a drawn value with special derivatives (so that
+    ``inv`` and the quotients are defined)."""
+    for seed in range(12):
+        yield _drawn_jet(QUATERNION, 300 + seed), _drawn_jet(QUATERNION,
+                                                             320 + seed)
+    for seed in range(40):
+        yield _special_jet(340 + seed), _special_jet(400 + seed)
+    for seed in range(20):
+        f, g = _special_jet(460 + seed), _special_jet(500 + seed)
+        yield (Jet((sample(QUATERNION, Seed(seed, 99)),) + f.coeffs[1:]),
+               Jet((sample(QUATERNION, Seed(seed, 98)),) + g.coeffs[1:]))
+
+
+def _kernel_results(f, g):
+    """Each caller of ``jets.leibniz`` on the jets f and g."""
+    f0, f1 = g[0], g[1]
+    a, b = f.truncate(4), g.truncate(4)
+    return {
+        "mul": _outcome(Jet.__mul__, f, g),
+        "inv": _outcome(Jet.inv, f),
+        "ldiv": _outcome(schwarzian._ldiv, f, g),
+        "expansion": _outcome(schwarzian.expansion_check, f),
+        "left": _outcome(schwarzian.propagate_left, a, b, f0, f1, 6),
+        "right": _outcome(schwarzian.propagate_right, a, f0, f1, 6),
+        "gauge": _outcome(schwarzian.propagate_gauge, a),
+    }
+
+
+def _generic_results(f, g):
+    f0, f1 = g[0], g[1]
+    a, b = f.truncate(4), g.truncate(4)
+    return {
+        "mul": _outcome(_generic_mul, f, g),
+        "inv": _outcome(_generic_inv, f),
+        "ldiv": _outcome(_generic_ldiv, f, g),
+        "left": _outcome(_generic_propagate_left, a, b, f0, f1, 6),
+        "right": _outcome(_generic_propagate_right, a, f0, f1, 6),
+        "gauge": _outcome(_generic_propagate_gauge, a),
+    }
+
+
+def test_quaternion_kernel_keeps_every_bit(monkeypatch):
+    """Every caller of ``jets.leibniz`` gives, bit for bit and NaN for NaN,
+    the value or the exception of the sum in Quaternion operators, on
+    drawn jets and on jets with signed zeros, infinities, NaN, huge, tiny
+    and subnormal components.  ``expansion_check``'s residuals (through
+    ``_ldiv`` and a jet product) are compared with the same check run with
+    ``leibniz`` replaced by the operator sum."""
+    cases = list(_kernel_cases())
+    got = [_kernel_results(f, g) for f, g in cases]
+    with monkeypatch.context() as m:
+        m.setattr(jets, "leibniz", _ring_leibniz)
+        m.setattr(schwarzian, "leibniz", _ring_leibniz)
+        want_expansion = [_outcome(schwarzian.expansion_check, f)
+                          for f, _ in cases]
+    outcomes = set()
+    for (f, g), res, exp in zip(cases, got, want_expansion):
+        want = _generic_results(f, g)
+        want["expansion"] = exp
+        assert res == want
+        outcomes.update((k, isinstance(v, tuple)) for k, v in res.items())
+    # the cases reach both values and refusals of inv, _ldiv and the check
+    assert {("inv", True), ("inv", False), ("ldiv", True), ("ldiv", False),
+            ("expansion", True), ("expansion", False)} <= outcomes
+
+
+def test_quaternion_kernel_forms_no_quaternion_products(monkeypatch):
+    """On exact quaternion entries the sum runs on floats: no Quaternion is
+    multiplied, so the comparison above is the kernel's."""
+    f, g = _drawn_jet(QUATERNION, 300), _drawn_jet(QUATERNION, 320)
+    calls = []
+    mul = Quaternion.__mul__
+
+    def counting(p, q):
+        calls.append(q)
+        return mul(p, q)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counting)
+    f * g
+    schwarzian.propagate_left(f, g, g[0], g[1], 6)
+    schwarzian.propagate_right(f, g[0], g[1], 6)
+    schwarzian.propagate_gauge(f)
+    assert calls == []
+    f.inv()  # multiplies each order's sum by f(0)^-1 in the ring
+    assert len(calls) == f.order
+
+
+class _Marked(Quaternion):
+    """A Quaternion subclass: its entries must take the ring operators."""
+
+    __slots__ = ()
+
+
+def _with_entry(f, k, value):
+    coeffs = list(f.coeffs)
+    coeffs[k] = value
+    return Jet(coeffs, f.ring)
+
+
+@pytest.mark.parametrize("entry", [1.5, 2, "marked"], ids=["float", "int",
+                                                           "subclass"])
+def test_other_entries_take_the_ring_operators(entry, monkeypatch):
+    """A jet holding a float, an int or a Quaternion subclass is summed by
+    the ring operators, with the value or the exception they give."""
+    mul = Quaternion.__mul__
+    marked = []
+
+    def watching(p, q):
+        if type(p) is _Marked or type(q) is _Marked:
+            marked.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(Quaternion, "__mul__", watching)
+    f, g = _drawn_jet(QUATERNION, 540), _drawn_jet(QUATERNION, 560)
+    for k in (0, 2, 6):
+        value = _Marked(*f[k]) if entry == "marked" else entry
+        for fk, gk in ((_with_entry(f, k, value), g),
+                       (f, _with_entry(g, k, value))):
+            got = _kernel_results(fk, gk)
+            del got["expansion"]
+            assert got == _generic_results(fk, gk)
+    if entry == "marked":
+        assert marked  # the subclass's entries reached Quaternion.__mul__

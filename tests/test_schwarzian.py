@@ -14,6 +14,7 @@ from ncross.jets import Jet, cos_jet, sin_jet, tan_jet
 from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, Seed, matrix_ring,
                             sample)
 from ncross import schwarzian
+from ncross.suites import SuiteConfig, run_suite
 from ncross.schwarzian import (KAPPA_FIELDS, KappaField, VectorFieldPair,
                                expansion_check,
                                gauge_theorem_check, gauge_transform_a,
@@ -399,3 +400,38 @@ def test_expansion_refusals_are_raised_on_every_call():
             expansion_check(z.truncate(2))
         with pytest.raises(NotInvertible):
             expansion_check(singular)
+
+
+# ---------------------------------------------------------------------------
+# Moebius covariance: S((a z + b)(c z + d)^-1) = g S(z) g^-1, g = c z(0) + d
+
+
+def test_moebius_suite_quaternion():
+    rep = run_suite(SuiteConfig(suite="schwarzian-moebius", ring="quaternion",
+                                trials=100, seed=0, tol=1e-9))
+    assert rep.passed and rep.trials_run + rep.trials_skipped == 100
+    assert rep.max_residual <= 1e-9
+
+
+def test_moebius_suite_is_exact_on_rationals():
+    rep = run_suite(SuiteConfig(suite="schwarzian-moebius", ring="rational",
+                                trials=100, seed=0, tol=1e-9))
+    assert rep.passed and rep.trials_run > 0
+    assert rep.max_residual == 0.0
+
+
+def test_moebius_check_refuses_a_singular_denominator():
+    """c z(0) + d = 0 makes the Moebius jet undefined: a skipped draw, not
+    a failure."""
+    z = qjet(330, 3)
+    a, b, c = (sample(QUATERNION, Seed(331, k)) for k in range(3))
+    d = -(c * z[0])
+    with pytest.raises(UndefinedExpression):
+        schwarzian.moebius_check(z, a, b, c, d)
+    # the conjugation by g is what the identity needs: S alone moves
+    d = sample(QUATERNION, Seed(331, 3))
+    moved, affine = schwarzian.moebius_check(z, a, b, c, d)
+    assert moved <= 1e-12 and affine <= 1e-12
+    sz = nc_schwarzian(z)
+    w = schwarzian.moebius_jet(a, b, c, d, z)
+    assert relative_residual(nc_schwarzian(w), sz) > 1e-3
