@@ -11,6 +11,10 @@ The hot path calls the LAPACK gufuncs behind ``np.linalg`` directly, with
 the signature and the ``np.errstate`` that ``np.linalg.svd`` and
 ``np.linalg.inv`` pass them: ``_umath_linalg.svd`` (``svd_n`` before numpy
 2) for the condition number and ``_umath_linalg.inv`` for the inverse.
+Each gufunc is called through one small function decorated once with its
+error state (``_singular_values``, ``_inverse``), so a call builds no
+``errstate`` object and restores the caller's state when it returns or
+raises.
 The Frobenius norm is ``np.linalg.norm``'s own ``ord=None`` formula while
 its sum of squares is a normal float, and a rescaled sum beyond that
 range (``_fro``).  The wrappers' run-time checks (array conversion, 2-D,
@@ -123,9 +127,7 @@ class MatScalar(Scalar):
             _set_cond(self, cond)
         if not math.isfinite(cond) or cond > INV_COND_MAX:
             raise NotInvertible(f"condition {cond:.3g} exceeds {INV_COND_MAX:.3g}")
-        with np.errstate(call=_singular, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            x = _umath_linalg.inv(a, signature="D->D")
+        x = _inverse(a)
         resid = _fro(a @ x - _eye(a.shape[0]))
         if resid > INV_TOL:
             raise NotInvertible(f"solve residual {resid:.3g}")
@@ -182,6 +184,23 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+# np.linalg.svd's and np.linalg.inv's error states, each bound once to the
+# one gufunc call it guards: a decorated call sets numpy's error state
+# without building an ``errstate`` object
+
+
+@np.errstate(call=_svd_failed, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _singular_values(a):
+    return _svd(a, signature="D->d")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _inverse(a):
+    return _umath_linalg.inv(a, signature="D->D")
+
+
 #: ``np.vdot`` behind its ``__array_function__`` dispatch, which a plain
 #: ndarray does not need
 _vdot = np.vdot._implementation
@@ -216,9 +235,7 @@ def _cond(a):
     whose error state this keeps."""
     if not a.size:
         raise np.linalg.LinAlgError("cond is not defined on empty arrays")
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        s = _svd(a, signature="D->d").tolist()
+    s = _singular_values(a).tolist()
     hi, lo = s[0], s[-1]
     try:
         r = hi / lo

@@ -22,6 +22,15 @@ overflows there sends the whole call to the generic path, which alone
 holds ``Quaternion.inv``'s scaled inverse.  Matrix, complex, rational and
 mixed entries take the generic path: the ring operators under
 ``errors.agreed``.
+
+The generic path, ``crossratio.nc_angle`` and the permutation suite build
+their values from x-gaps (``x_gaps``), and one trial asks for the same gap
+many times: q^k_ij and q^k_il share x_ki.  Each gap is memoised on the
+identity of its four scalars, which is sound because every scalar is
+immutable; an entry holds its scalars, so no id is reused while it lives.
+The gap memo has the ``qp_left`` memo's cap and wholesale clear, and a gap
+that raises stores nothing.  A shared matrix gap is also inverted once,
+since ``MatScalar`` memoises its inverse.
 """
 
 from __future__ import annotations
@@ -53,8 +62,9 @@ class Vec2(NamedTuple):
         return Vec2(self.x1 * t, self.x2 * t)
 
 
-#: entries the qp_left memo may hold before it is cleared wholesale; one
-#: trial of any suite needs at most 24
+#: entries the qp_left memo, and the gap memo, may each hold before it is
+#: cleared wholesale; one trial of any suite needs at most 24 coordinates,
+#: and one trial of a benchmark suite at most 48 gaps
 MEMO_CAP = 256
 
 #: (id(ci), id(cj), id(ck), tol) -> (ci, cj, ck, value).  An entry holds
@@ -100,19 +110,43 @@ def _evaluate(ci, cj, ck, i: int, j: int, k: int, tol: float) -> Scalar:
     return _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol)
 
 
+#: (id(a1), id(a2), id(b1), id(b2)) -> (a1, a2, b1, b2, x_ab), the gap
+#: memo, under the same cap and wholesale clear as ``_memo``.  An entry
+#: holds its scalars, so their ids cannot be reused while it lives.
+_gap_memo: dict = {}
+
+
 def x_gaps(a, *bs) -> list:
     """[x_ab for b in bs], x_ab = b_1 - a_1 a_2^-1 b_2 for two-entry
     columns a and b: the boxed top-row entry of the 2 x 2 quasideterminant
-    with columns a, b.  a_2 is inverted once for all of them."""
-    pivot = a[1].inv()
-    return [b[0] - a[0] * (pivot * b[1]) for b in bs]
+    with columns a, b.  Each gap is memoised on the identity of its four
+    scalars, which is sound because every scalar is immutable; a_2 is
+    inverted once, and only when some gap misses.  A gap that raises
+    stores nothing."""
+    a1, a2 = a
+    gaps = []
+    pivot = None
+    for b1, b2 in bs:
+        key = (id(a1), id(a2), id(b1), id(b2))
+        hit = _gap_memo.get(key)
+        if hit is None:
+            if pivot is None:
+                pivot = a2.inv()
+            gap = b1 - a1 * (pivot * b2)
+            if len(_gap_memo) >= MEMO_CAP:
+                _gap_memo.clear()
+            _gap_memo[key] = (a1, a2, b1, b2, gap)
+        else:
+            gap = hit[4]
+        gaps.append(gap)
+    return gaps
 
 
 def _ring_rows(a1i, a2i, a1j, a2j, a1k, a2k, i, j, k, tol):
     """The generic evaluation: both row forms x_{k,i}^-1 x_{k,j} (see
     ``x_gaps``), the second with the rows swapped, in the ring's own
     operators, cross-checked by ``agreed``.  Each form inverts its pivot
-    once."""
+    at most once, and not at all when both its gaps are memoised."""
 
     def form(ci, cj, ck):
         left, right = x_gaps(ck, ci, cj)

@@ -10,6 +10,7 @@ leading term is of order eps^3 (see schwarzian.infinitesimal_ceva).
 import math
 
 import numpy as np
+import pytest
 
 from ncross.jets import Jet, cos_jet, sin_jet, tan_jet
 from ncross.pentagram import classical_pentagram
@@ -20,8 +21,27 @@ from ncross.schwarzian import (VectorFieldPair, gauge_theorem_check,
                                schwarzian_equation_check)
 from ncross.errors import NotInvertible, NumericalBreakdown
 from ncross.scalars import RationalScalar, ring_by_name
+from ncross import suites
 from ncross.suites import Draw, SuiteConfig, run_suite
 from fractions import Fraction
+
+#: draw pool cap for this module: the 1,000-trial calls at seed 0 draw up
+#: to about 20,000 counters of one ring, and a pool that keeps them serves
+#: the later calls at that seed (one-off runs keep ``suites.POOL_CAP``)
+GATE_POOL_CAP = 32768
+
+
+@pytest.fixture(scope="module", autouse=True)
+def gate_pool_cap():
+    """Raise ``suites.POOL_CAP`` for the gate, then restore it and release
+    the pooled scalars.  The cap decides only which draws are served from
+    the pool, never their bits."""
+    cap = suites.POOL_CAP
+    suites.clear_draw_pool()
+    suites.POOL_CAP = GATE_POOL_CAP
+    yield
+    suites.POOL_CAP = cap
+    suites.clear_draw_pool()
 
 
 def crit(n, desc, ok):

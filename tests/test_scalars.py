@@ -687,23 +687,42 @@ def test_scale_keeps_each_part_of_an_infinite_entry():
 def test_lean_calls_raise_and_never_warn():
     """The gufuncs run under ``np.linalg``'s error state: a NaN, infinite
     or singular matrix is refused or raises ``LinAlgError`` as numpy's
-    functions do, and no ``RuntimeWarning`` leaks out."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for name in ("zero", "signed-zero", "rank-1", "nan-entry", "all-nan",
-                     "empty"):
-            MatScalar(_REFUSED[name]).norm()
-        for entries in _REFUSED.values():
-            with pytest.raises(NotInvertible):
-                MatScalar(entries).inv()
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="^SVD did not converge$"):
-            _cond(MatScalar(_REFUSED["all-nan"]).a)
-        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            _forged(MatScalar(_REFUSED["zero"])).inv()
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="^cond is not defined on empty arrays$"):
-            _cond(MatScalar(_REFUSED["empty"]).a)
+    functions do, and no ``RuntimeWarning`` leaks out.  The error state
+    each call sets is undone when it returns or raises, whatever state the
+    caller had set."""
+    for outer in ({}, {"all": "raise"}, {"all": "warn"}):
+        with warnings.catch_warnings(), np.errstate(**outer):
+            warnings.simplefilter("error")
+            _lean_calls_raise(outer)
+
+
+def _lean_calls_raise(outer):
+    state = np.geterr(), np.geterrcall()
+
+    def unchanged():
+        return (np.geterr(), np.geterrcall()) == state
+
+    for name in ("zero", "signed-zero", "rank-1", "nan-entry", "all-nan",
+                 "empty"):
+        MatScalar(_REFUSED[name]).norm()
+    for entries in _REFUSED.values():
+        with pytest.raises(NotInvertible):
+            MatScalar(entries).inv()
+        assert unchanged(), outer
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^SVD did not converge$"):
+        _cond(MatScalar(_REFUSED["all-nan"]).a)
+    assert unchanged(), outer
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        _forged(MatScalar(_REFUSED["zero"])).inv()
+    assert unchanged(), outer
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^cond is not defined on empty arrays$"):
+        _cond(MatScalar(_REFUSED["empty"]).a)
+    assert unchanged(), outer
+    _cond(MatScalar(_REFUSED["rank-1"]).a)
+    sample(matrix_ring(3), Seed(5, 0)).inv()
+    assert unchanged(), outer
 
 
 def test_matrix_norm_is_overflow_safe():
