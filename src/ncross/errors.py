@@ -53,20 +53,45 @@ class NumericalBreakdown(NCError):
 BREAKDOWN_FACTOR = 100.0
 
 
+def _larger(x, y):
+    """``max(x, y)`` of two norms.  On lanes (``ncross.matrix.MatLanes``)
+    a norm is a per-lane float array, and the max is elementwise; a lane
+    with a NaN norm stays NaN there, so it fails every test and is
+    replayed."""
+    if isinstance(x, float):
+        return max(x, y) if isinstance(y, float) else y.clip(x)
+    return x.clip(y)
+
+
 def agree(a, b, tol: float) -> bool:
-    """|a - b| <= BREAKDOWN_FACTOR tol (1 + max(|a|, |b|)); symmetric."""
-    return agree_norms((a - b).norm(), a.norm(), b.norm(), tol)
+    """|a - b| <= BREAKDOWN_FACTOR tol (1 + max(|a|, |b|)); symmetric.
+    On lanes it masks each lane that fails, where a scalar would return
+    False, and returns True."""
+    diff = a - b
+    ok = (diff.norm()
+          <= BREAKDOWN_FACTOR * tol * (1.0 + _larger(a.norm(), b.norm())))
+    if isinstance(ok, bool):
+        return ok
+    diff.keep(ok)
+    return True
 
 
 def agree_norms(diff: float, norm_a: float, norm_b: float, tol: float) -> bool:
-    """``agree``'s test on the three norms it reads: |a - b|, |a|, |b|."""
+    """``agree``'s test on the three float norms it reads: |a - b|, |a|,
+    |b|."""
     return diff <= BREAKDOWN_FACTOR * tol * (1.0 + max(norm_a, norm_b))
+
+
+def relative_norm(diff, norm_a, norm_b):
+    """diff / (1 + max(norm_a, norm_b)): a difference's norm at the scale
+    of two values; per lane on lanes."""
+    return diff / (1.0 + _larger(norm_a, norm_b))
 
 
 def relative_residual(lhs, rhs) -> float:
     """|lhs - rhs| / (1 + max(|lhs|, |rhs|)): the forward error at the
     scale of the compared values."""
-    return (lhs - rhs).norm() / (1.0 + max(lhs.norm(), rhs.norm()))
+    return relative_norm((lhs - rhs).norm(), lhs.norm(), rhs.norm())
 
 
 def agreed(routes, tol: float, mismatch: type, what: str):

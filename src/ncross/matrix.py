@@ -20,6 +20,13 @@ its sum of squares is a normal float, and a rescaled sum beyond that
 range (``_fro``).  The wrappers' run-time checks (array conversion, 2-D,
 square, dtype) are ``MatScalar`` invariants here, so every result keeps
 its bits.  This module is the only one that names ``_umath_linalg``.
+
+``MatLanes`` stacks one matrix per trial of a chunk into an (N, d, d)
+array, so that ``suites.run_suite`` runs a trial body once for N trials
+(``MatrixRing.stack``).  Its operations make the same BLAS and LAPACK
+calls per lane as ``MatScalar``'s on one matrix, so an unmasked lane has
+the lone matrix's bits; where ``MatScalar.inv`` would refuse, the lane is
+masked instead, and its trial is replayed on the scalar path.
 """
 
 from __future__ import annotations
@@ -258,8 +265,185 @@ def _eye(d):
     return e
 
 
+#: every lanes operation runs under this error state, so a masked lane's
+#: NaN or infinite entries neither warn nor raise
+_quiet = np.errstate(all="ignore")
+
+
+class MatLanes(Scalar):
+    """N stacked d x d matrices used as one scalar: lane n holds the value
+    that trial n of a chunk would hold, so a trial body runs once for the
+    whole chunk (``suites.run_suite``).  ``MatrixRing.stack`` builds one
+    from N lone draws.
+
+    Every value derived from one stack shares its lane mask, a boolean
+    array that clears a lane for good where the scalar path would refuse:
+    ``inv`` masks each lane that ``MatScalar.inv`` would refuse, and
+    ``errors.agree`` each lane whose two routes disagree.  A NaN compares
+    false, so it masks too.  A masked lane's entries may then hold
+    anything; its trial is replayed on the scalar path.
+
+    On an unmasked lane every operation has ``MatScalar``'s bits:
+    ``+ - neg scale`` are elementwise, ``*`` is the stacked matmul, which
+    makes the single-matrix BLAS call once per lane, ``inv`` the stacked
+    SVD and LAPACK inverse and ``norm`` the same BLAS ``ddot`` as
+    ``_fro``.  A lone ``MatScalar`` of the same dimension broadcasts
+    against every lane, on either side.  No operation raises or warns on a
+    bad lane: each runs under ``np.errstate(all="ignore")``.
+
+    ``a`` is a read-only (N, d, d) complex128 array; ``inv()`` is memoised
+    like ``MatScalar``'s, and a stack of sampled draws carries their
+    condition numbers, which the sampling guard already bounded."""
+
+    __slots__ = ("a", "mask", "_inv", "_cond")
+
+    @property
+    def dim(self):
+        return self.a.shape[1]
+
+    @property
+    def ring(self):
+        return matrix_ring(self.dim)
+
+    def _operand(self, q):
+        """The entries of ``q`` in an operation with these lanes: lanes of
+        the same stack, or a lone matrix of the same dimension; None for
+        anything else."""
+        if type(q) is MatLanes:
+            if q.mask is not self.mask:
+                raise DimensionMismatch("lanes of different stacks")
+            return q.a
+        if isinstance(q, MatScalar):
+            if q.a.shape != self.a.shape[1:]:
+                raise DimensionMismatch(f"dim {self.dim} vs {q.dim}")
+            return q.a
+        return None
+
+    @_quiet
+    def __add__(self, q):
+        b = self._operand(q)
+        return NotImplemented if b is None else _lanes(self.a + b, self.mask)
+
+    @_quiet
+    def __radd__(self, q):
+        b = self._operand(q)
+        return NotImplemented if b is None else _lanes(b + self.a, self.mask)
+
+    @_quiet
+    def __sub__(self, q):
+        b = self._operand(q)
+        return NotImplemented if b is None else _lanes(self.a - b, self.mask)
+
+    @_quiet
+    def __rsub__(self, q):
+        b = self._operand(q)
+        return NotImplemented if b is None else _lanes(b - self.a, self.mask)
+
+    def __neg__(self):
+        return _lanes(-self.a, self.mask)
+
+    @_quiet
+    def __mul__(self, q):
+        b = self._operand(q)
+        if b is None:
+            r = _real(self.ring, q)
+            return NotImplemented if r is None else self.scale(r)
+        return _lanes(self.a @ b, self.mask)
+
+    @_quiet
+    def __rmul__(self, q):
+        b = self._operand(q)
+        if b is None:
+            r = _real(self.ring, q)
+            return NotImplemented if r is None else self.scale(r)
+        return _lanes(b @ self.a, self.mask)
+
+    @_quiet
+    def scale(self, r):
+        return _lanes((self.a.view(np.float64) * r).view(np.complex128),
+                      self.mask)
+
+    def norm(self):
+        """The float array of each lane's ``MatScalar.norm``."""
+        return _lanes_fro(self.a)
+
+    def inv(self):
+        if self._inv is None:
+            _set_lanes_inv(self, _lanes(_lanes_inverse(self), self.mask))
+        return self._inv
+
+    def keep(self, ok) -> None:
+        """Mask every lane where the boolean array ``ok`` is false."""
+        mask = self.mask
+        mask &= ok
+
+    def rows(self, residuals) -> list:
+        """Per lane, the list of ``residuals`` (a trial body's residuals on
+        these lanes, each a per-lane array or a float) as Python floats;
+        None for a masked lane."""
+        cols = np.empty((len(residuals), len(self.mask)))
+        for j, r in enumerate(residuals):
+            cols[j] = r
+        return [row if keep else None
+                for row, keep in zip(cols.T.tolist(), self.mask.tolist())]
+
+    def __repr__(self):
+        return f"MatLanes({len(self.a)} lanes of dim {self.dim})"
+
+
+_set_lanes_a, _set_lanes_mask, _set_lanes_inv, _set_lanes_cond = (
+    MatLanes.__dict__[n].__set__ for n in MatLanes.__slots__)
+
+
+def _lanes(a, mask, cond=None):
+    """A MatLanes owning the fresh (N, d, d) array ``a`` and sharing the
+    lane mask ``mask``."""
+    a.setflags(write=False)
+    m = object.__new__(MatLanes)
+    _set_lanes_a(m, a)
+    _set_lanes_mask(m, mask)
+    _set_lanes_inv(m, None)
+    _set_lanes_cond(m, cond)
+    return m
+
+
+@_quiet
+def _lanes_fro(a):
+    """``_fro`` of every lane of the stack ``a``.  Each sum of squares is a
+    vector matmul over the strided real and imaginary parts, which runs
+    ``_fro``'s BLAS ``ddot`` with its strides; a lane whose sum leaves the
+    normal range takes ``_fro`` itself."""
+    x = a.reshape(len(a), 1, -1)
+    re, im = x.real, x.imag
+    s = (re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(len(a))
+    out = np.sqrt(s)
+    for n in np.flatnonzero((s == math.inf) | (s < _MIN_NORMAL)):
+        out[n] = _fro(a[n])
+    return out
+
+
+@_quiet
+def _lanes_inverse(lanes):
+    """The stacked inverse of ``lanes``, after ``MatScalar.inv``'s checks
+    per lane.  A lane is masked unless its condition number is at most
+    ``INV_COND_MAX`` and its residual at most ``INV_TOL``; so NaN and
+    infinite ones mask, where ``MatScalar.inv`` lets a NaN residual pass.
+    A masked lane's entries are whatever LAPACK left."""
+    a = lanes.a
+    cond = lanes._cond
+    if cond is None:
+        s = _svd(a, signature="D->d")
+        cond = s[:, 0] / s[:, -1]
+    x = _umath_linalg.inv(a, signature="D->D")
+    resid = _lanes_fro(a @ x - _eye(a.shape[1]))
+    mask = lanes.mask
+    mask &= (cond <= INV_COND_MAX) & (resid <= INV_TOL)
+    return x
+
+
 class MatrixRing(Ring):
     commutative = False
+    lanes = True
 
     def __init__(self, dim):
         if dim < 1:
@@ -280,6 +464,16 @@ class MatrixRing(Ring):
         cond = _cond(cand.a)
         _set_cond(cand, cond)
         return math.isfinite(cond) and cond <= MAX_SAMPLE_COND
+
+    def stack(self, scalars, like=None) -> MatLanes:
+        """The lone matrices ``scalars``, one per lane, as one lanes scalar.
+        It shares the lane mask of ``like``, lanes of the same chunk, or
+        starts a clear one.  When every matrix carries the condition number
+        its sampling guard computed, so do the lanes."""
+        a = np.stack([s.a for s in scalars])
+        mask = np.ones(len(a), dtype=bool) if like is None else like.mask
+        conds = [s._cond for s in scalars]
+        return _lanes(a, mask, None if None in conds else np.array(conds))
 
     def __eq__(self, other):
         return isinstance(other, MatrixRing) and other.dim == self.dim

@@ -96,6 +96,13 @@ def qp_left(columns: Sequence, i: int, j: int, k: int, tol: float = DEFAULT_ATOL
     return value
 
 
+def clear_memos() -> None:
+    """Empty the ``qp_left`` memo and the gap memo, releasing what they
+    hold."""
+    _memo.clear()
+    _gap_memo.clear()
+
+
 def _evaluate(ci, cj, ck, i: int, j: int, k: int, tol: float) -> Scalar:
     """q^k_ij of the columns ci, cj, ck through both row forms, which must
     agree: the one evaluation step of ``qp_left``, memo aside."""

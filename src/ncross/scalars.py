@@ -366,6 +366,10 @@ class RationalScalar(_Number):
 class Ring:
     name: str
     commutative: bool
+    #: whether ``stack`` turns one draw per trial of a chunk into one lanes
+    #: scalar, so a trial body runs once per chunk: only the matrix ring
+    #: (``ncross.matrix.MatrixRing.stack``)
+    lanes = False
 
     @cached_property
     def zero(self):

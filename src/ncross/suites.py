@@ -17,7 +17,14 @@ them.  A ``Draw`` at another seed replaces its ring's pool, and
 ``clear_draw_pool`` empties every pool.  Every scalar is immutable, so a
 pooled scalar is the value, to the bit, that ``Ring.sample`` would draw
 again; a pooled matrix also keeps its memoised condition number and
-inverse."""
+inverse.
+
+On the matrix ring, plucker-properties, dv-equivalence and dv-cocycle run
+their unchanged trial bodies on lanes: one call per chunk of up to
+``LANES`` trials, each scalar a stack of one matrix per trial
+(``LanesDraw``, ``ncross.matrix.MatLanes``).  A lane that passes keeps its
+residual; every other lane is replayed on the scalar path
+(``run_suite``), so the report is the scalar path's, bit for bit."""
 
 from __future__ import annotations
 
@@ -31,10 +38,12 @@ from typing import Callable, NamedTuple
 from . import crossratio, geometry, pentagram, schwarzian
 from .errors import (DrawBudgetExceeded, NumericalBreakdown,
                      UndefinedExpression, UnknownSuite,
-                     UnsupportedRingForSuite, relative_residual)
+                     UnsupportedRingForSuite, relative_norm,
+                     relative_residual)
 from .jets import Jet
 from .linalg import solve_left
-from .plucker import Vec2, qp_left, qp_right, plucker_minor, x_gaps
+from .plucker import (Vec2, clear_memos, qp_left, qp_right, plucker_minor,
+                      x_gaps)
 from .scalars import (Ring, Seed, Scalar, conjugate_by, ring_by_name,
                       scalar_to_json, similar)
 
@@ -49,6 +58,13 @@ _STRIDE = 100003
 #: at most 2,000 distinct counters of one ring, which all fit; a one-off
 #: ``verify`` never repeats a draw, so whatever it pools is held for nothing
 POOL_CAP = 2048
+
+#: trials a lanes chunk holds at most (see ``run_suite``).  A lanes value
+#: of matrix(d) holds 16 LANES d^2 bytes, 18 kB at d = 3, and a chunk of
+#: plucker-properties, the largest body, keeps about 100 of them alive:
+#: its tracemalloc peak is about 1.3 MB above the scalar path's at d = 3
+#: and 12 MB at d = 8.  Every value is released when the chunk ends.
+LANES = 128
 
 #: ring -> (seed, {counter: scalar}), the draw pool; first-come, not LRU:
 #: it holds no earlier seed's draws, and a round past the cap still hits
@@ -108,6 +124,26 @@ class Draw:
 
     def jet(self, order: int) -> Jet:
         return Jet([self.scalar() for _ in range(order + 1)])
+
+
+class LanesDraw(Draw):
+    """Draws for trials ``trial .. trial + n - 1`` at once: draw k is the
+    k-th scalar of every one of those trials, each drawn by that trial's
+    own ``Draw`` through the draw pool, stacked by ``Ring.stack`` into one
+    lanes scalar.  Every draw shares the lane mask of the first, ``lanes``.
+    """
+
+    def __init__(self, ring: Ring, seed: int, trial: int, n: int):
+        super().__init__(ring, seed, trial)
+        self.draws = [Draw(ring, seed, t) for t in range(trial, trial + n)]
+        self.lanes = None
+
+    def scalar(self) -> Scalar:
+        s = self.ring.stack([d.scalar() for d in self.draws], self.lanes)
+        if self.lanes is None:
+            self.lanes = s
+        self.k += 1
+        return s
 
 
 @dataclass(frozen=True)
@@ -207,7 +243,7 @@ def _t_plucker(d: Draw, tol: float) -> list:
     # P6: Pluecker identity (normalized by the cancelling term scale)
     t1 = qp_left(cols, i, j, k, tol) * qp_left(cols, j, i, l, tol)
     t2 = qp_left(cols, i, l, k, tol) * qp_left(cols, l, i, j, tol)
-    res.append((t1 + t2 - one).norm() / (1.0 + max(t1.norm(), t2.norm())))
+    res.append(relative_norm((t1 + t2 - one).norm(), t1.norm(), t2.norm()))
     # right coordinates against the left ones on the transpose
     rows = [(c.x1, c.x2) for c in cols[:3]]
     res.append((qp_right(rows, 0, 1, 2, tol) * qp_right(rows, 1, 0, 2, tol)
@@ -561,20 +597,27 @@ class SuiteSpec:
     trial: Callable
     description: str
     rings: tuple = ("quaternion", "matrix", "complex", "rational")
+    #: the trial body runs unchanged on lanes (``run_suite``): every value
+    #: it reads goes through ring operators, ``inv``, ``norm`` and
+    #: ``errors.agree``/``relative_norm``, never through Python control flow
+    lanes: bool = False
 
 
 SUITES = {
     s.name: s for s in [
         SuiteSpec("plucker-properties", _t_plucker,
-                  "quasi-Pluecker coordinate properties 1-6 and duals"),
+                  "quasi-Pluecker coordinate properties 1-6 and duals",
+                  lanes=True),
         SuiteSpec("crossratio-cocycles", _t_crossratio_cocycles,
                   "cross-ratio covariance, conjugacy and cocycle laws"),
         SuiteSpec("crossratio-permutations", _t_crossratio_permutations,
                   "permutation conjugation laws, angles, triple ratio"),
         SuiteSpec("dv-equivalence", _t_dv_equivalence,
-                  "operator cross-ratio equals the vector cross-ratio"),
+                  "operator cross-ratio equals the vector cross-ratio",
+                  lanes=True),
         SuiteSpec("dv-cocycle", _t_dv_cocycle,
-                  "operator cross-ratio chain and closed-triple laws"),
+                  "operator cross-ratio chain and closed-triple laws",
+                  lanes=True),
         SuiteSpec("geometry-collinear", _t_geometry_collinear,
                   "collinearity criteria and barycentric coordinates"),
         SuiteSpec("menelaus", _t_menelaus,
@@ -618,6 +661,12 @@ def list_suites():
     return [(s.name, s.description, s.rings) for s in SUITES.values()]
 
 
+def _worst(res: list) -> float:
+    """A trial's residual from its list: the worst, or NaN when any is
+    NaN."""
+    return math.nan if any(r != r for r in res) else max(res)
+
+
 def _run_trial(spec: SuiteSpec, ring: Ring, cfg: SuiteConfig, idx: int):
     """(worst residual, the trial's Draw); the residual is None for a
     skipped trial and NaN when any of the trial's residuals is NaN."""
@@ -626,13 +675,45 @@ def _run_trial(spec: SuiteSpec, ring: Ring, cfg: SuiteConfig, idx: int):
         res = spec.trial(d, cfg.tol)
     except (UndefinedExpression, NumericalBreakdown):
         return None, d
-    return (math.nan if any(r != r for r in res) else max(res)), d
+    return _worst(res), d
+
+
+def _run_lanes(spec: SuiteSpec, ring: Ring, cfg: SuiteConfig, start: int,
+               stop: int) -> list:
+    """Trials ``start .. stop - 1`` as the lanes of one trial body call:
+    per trial, its worst residual when that is finite and within ``tol``,
+    else None, and the trial is to be replayed on ``_run_trial``.  None
+    for every trial when the body raised.  The memos are emptied after the
+    call, so no lanes value outlives its chunk."""
+    d = LanesDraw(ring, cfg.seed, start, stop - start)
+    try:
+        res = spec.trial(d, cfg.tol)
+    except (UndefinedExpression, NumericalBreakdown):
+        return [None] * (stop - start)
+    finally:
+        clear_memos()
+    worst = []
+    for row in d.lanes.rows(res):
+        r = None if row is None else _worst(row)
+        worst.append(r if r is not None and math.isfinite(r) and r <= cfg.tol
+                     else None)
+    return worst
 
 
 def run_suite(cfg: SuiteConfig, workers: int = 1) -> Report:
     """Run the configured suite.  ``workers`` is accepted for compatibility
-    and has no effect: trials are pure Python and run serially (a thread
-    pool gained nothing behind the interpreter lock)."""
+    and has no effect: trials run in one thread, in order.
+
+    A suite marked ``lanes`` (plucker-properties, dv-equivalence and
+    dv-cocycle) on a ring with lanes (the matrix ring) runs its trial body
+    once per chunk of at most ``LANES`` trials, on lanes scalars that
+    stack one value per trial (``ncross.matrix.MatLanes``).  A lane whose
+    residual is finite and within ``tol`` passes with that residual, which
+    is the one ``_run_trial`` gives it.  Every other trial is replayed on
+    ``_run_trial``, so its skip, its NaN and its failure ``inputs`` come
+    from the scalar path: a lane masked where a scalar would have raised,
+    a NaN, infinite or above-``tol`` residual, and every trial of a chunk
+    whose body raised."""
     if cfg.suite not in SUITES:
         raise UnknownSuite(cfg.suite)
     spec = SUITES[cfg.suite]
@@ -640,22 +721,29 @@ def run_suite(cfg: SuiteConfig, workers: int = 1) -> Report:
         raise UnsupportedRingForSuite(
             f"suite {cfg.suite} supports rings {spec.rings}, not {cfg.ring!r}")
     ring = ring_by_name(cfg.ring, cfg.dim)
+    lanes = spec.lanes and ring.lanes
+    step = LANES if lanes else cfg.trials
     start = time.perf_counter()
     skipped = 0
     max_res = 0.0
     failures = []
-    for idx in range(cfg.trials):
-        residual, d = _run_trial(spec, ring, cfg, idx)
-        if residual is None:
-            skipped += 1
-            if cfg.skip_policy == "fail":
-                failures.append(Failure(idx, None, d.inputs()))
-            continue
-        if math.isfinite(residual):  # NaN would slip past max and > tol
-            max_res = max(max_res, residual)
-            if residual <= cfg.tol:
+    for first in range(0, cfg.trials, step):
+        stop = min(first + step, cfg.trials)
+        worst = (_run_lanes(spec, ring, cfg, first, stop) if lanes
+                 else [None] * (stop - first))
+        for idx, residual in zip(range(first, stop), worst):
+            if residual is None:  # no lanes, or a lane to replay
+                residual, d = _run_trial(spec, ring, cfg, idx)
+            if residual is None:
+                skipped += 1
+                if cfg.skip_policy == "fail":
+                    failures.append(Failure(idx, None, d.inputs()))
                 continue
-        failures.append(Failure(idx, residual, d.inputs()))
+            if math.isfinite(residual):  # NaN would slip past max and > tol
+                max_res = max(max_res, residual)
+                if residual <= cfg.tol:
+                    continue
+            failures.append(Failure(idx, residual, d.inputs()))
 
     notes = ""
     passed = not failures

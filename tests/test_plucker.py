@@ -598,36 +598,72 @@ def test_gap_memo_stays_within_its_cap(ring):
 
 
 #: LAPACK inverses and matrix results of matrix(3) plucker-properties,
-#: seeds 0-4, 100 trials each, from a cold draw pool and empty memos.
-#: Before the gap memo each x-gap was computed afresh: 20,545 inverses and
-#: 156,894 results.
+#: seeds 0-4, 100 trials each, from a cold draw pool and empty memos, with
+#: every trial on the scalar path (``suites._run_trial``).  Before the gap
+#: memo each x-gap was computed afresh: 20,545 inverses and 156,894 results.
 _MATRIX_WORK = {"inv": 16557, "_mat": 125831}
 
+#: the same five calls through ``run_suite``, which runs them as lanes:
+#: stacked LAPACK inverse calls, the lanes they invert, and the single
+#: inverses of the trials replayed on the scalar path
+_LANES_WORK = {"stacked": 165, "lanes": 16500, "inv": 32}
 
-def test_shared_gaps_cut_the_matrix_work(monkeypatch):
+
+def _counting_lapack(monkeypatch, count):
+    """Count the LAPACK inverse calls of ``ncross.matrix`` into ``count``:
+    a single matrix's under "inv", a stack's under "stacked" with its
+    lanes under "lanes"."""
     from ncross import matrix
-    count = {"inv": 0, "_mat": 0}
-    lapack, mat = matrix._umath_linalg, matrix._mat
+    lapack = matrix._umath_linalg
 
     class CountingLapack:
         def __getattr__(self, name):
             return getattr(lapack, name)
 
-        def inv(self, *args, **kwargs):
-            count["inv"] += 1
-            return lapack.inv(*args, **kwargs)
+        def inv(self, a, *args, **kwargs):
+            if a.ndim == 3:
+                count["stacked"] += 1
+                count["lanes"] += len(a)
+            else:
+                count["inv"] += 1
+            return lapack.inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(matrix, "_umath_linalg", CountingLapack())
+
+
+def _plucker_matrix_calls():
+    return [SuiteConfig("plucker-properties", "matrix", dim=3, trials=100,
+                        seed=seed, tol=1e-9) for seed in range(5)]
+
+
+def test_shared_gaps_cut_the_matrix_work(monkeypatch):
+    from ncross import matrix
+    count = {"inv": 0, "_mat": 0, "stacked": 0, "lanes": 0}
+    mat = matrix._mat
 
     def counting_mat(a):
         count["_mat"] += 1
         return mat(a)
 
-    monkeypatch.setattr(matrix, "_umath_linalg", CountingLapack())
+    _counting_lapack(monkeypatch, count)
     monkeypatch.setattr(matrix, "_mat", counting_mat)
     suites.clear_draw_pool()
-    plucker._memo.clear()
-    plucker._gap_memo.clear()
-    for seed in range(5):
-        run_suite(SuiteConfig("plucker-properties", "matrix", dim=3,
-                              trials=100, seed=seed, tol=1e-9))
+    plucker.clear_memos()
+    spec = suites.SUITES["plucker-properties"]
+    ring = matrix_ring(3)
+    for cfg in _plucker_matrix_calls():
+        for idx in range(cfg.trials):
+            suites._run_trial(spec, ring, cfg, idx)
     suites.clear_draw_pool()
-    assert count == _MATRIX_WORK
+    assert count == {**_MATRIX_WORK, "stacked": 0, "lanes": 0}
+
+
+def test_lanes_cut_the_matrix_lapack_calls(monkeypatch):
+    count = {"inv": 0, "stacked": 0, "lanes": 0}
+    _counting_lapack(monkeypatch, count)
+    suites.clear_draw_pool()
+    plucker.clear_memos()
+    for cfg in _plucker_matrix_calls():
+        run_suite(cfg)
+    suites.clear_draw_pool()
+    assert count == _LANES_WORK

@@ -1,3 +1,4 @@
+import collections
 import math
 import operator
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncross._stream import Stream
-from ncross.matrix import _cond, _set_cond
+from ncross.matrix import MatLanes, _cond, _fro, _set_cond
 from ncross.errors import DimensionMismatch, NotInvertible
 from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, ComplexScalar,
                             MatScalar, Quaternion, RationalScalar, Seed,
@@ -857,3 +858,165 @@ def test_complex_inv_finite_path_unchanged():
     for k in range(2000):
         c = sample(COMPLEX, Seed(19, k))
         assert c.inv().v == 1.0 / c.v
+
+
+# ---------------------------------------------------------------------------
+# lanes: stacked matrices against the lone MatScalar operations, lane by lane
+
+
+def _lanes_corpus():
+    """The nonempty ``_lean_corpus`` matrices by dimension, with sampled and
+    derived matrix(1), (2) and (4) sets, norms past the float range and
+    below its normal range at every dimension, entries near 1e-307 and
+    1e308 whose inverses fail the residual check, and the 1 x 1 signed
+    zeros on which ``ndarray.dot`` and ``@`` differ."""
+    extra = []
+    for d in (1, 2, 3, 4):
+        xs = [sample(matrix_ring(d), Seed(41, c)) for c in range(200)]
+        if d != 3:
+            extra += xs + [m for a, b in zip(xs, xs[1:] + xs[:1])
+                           for m in (a * b, a - b, a - a, MatScalar(a.a.real))]
+        extra += [MatScalar(x.a * s) for x in xs[:8]
+                  for s in (1e200, 1e-170, 1e-200, 1e-307, 1e308)]
+    extra += [MatScalar([[v]]) for v in (
+        2.0, -0.0, 0.0, complex(0.0, -3.0), complex(-0.0, 0.0),
+        complex(0.0, -0.0), complex(-0.0, -0.0))]
+    by_dim = {}
+    for m in _lean_corpus() + extra:
+        if m.dim:
+            by_dim.setdefault(m.dim, []).append(m)
+    return by_dim
+
+
+def _stacked(arrays):
+    return np.stack([m.a if isinstance(m, MatScalar) else m
+                     for m in arrays]).tobytes()
+
+
+@_numpy_warns_too
+def test_lanes_arithmetic_matches_lone_matrices():
+    for d, ms in _lanes_corpus().items():
+        ring = matrix_ring(d)
+        ns = ms[1:] + ms[:1]
+        a = ring.stack(ms)
+        b = ring.stack(ns, a)
+        pairs = list(zip(ms, ns))
+        for got, want in ((a + b, [x + y for x, y in pairs]),
+                          (a - b, [x - y for x, y in pairs]),
+                          (a * b, [x * y for x, y in pairs]),
+                          (-a, [-x for x in ms]),
+                          (a * 2.5, [x * 2.5 for x in ms]),
+                          (2.5 * a, [2.5 * x for x in ms]),
+                          (a.scale(-0.5), [x.scale(-0.5) for x in ms])):
+            assert type(got) is MatLanes and got.mask is a.mask
+            assert got.a.tobytes() == _stacked(want)
+        for c in (ms[0], ms[-1], ring.one, ms[len(ms) // 2]):
+            for got, want in ((a + c, [x + c for x in ms]),
+                              (c + a, [c + x for x in ms]),
+                              (a - c, [x - c for x in ms]),
+                              (c - a, [c - x for x in ms]),
+                              (a * c, [x * c for x in ms]),
+                              (c * a, [c * x for x in ms])):
+                assert type(got) is MatLanes and got.mask is a.mask
+                assert got.a.tobytes() == _stacked(want)
+
+
+@_numpy_warns_too
+def test_lanes_norm_matches_lone_norm():
+    rescaled = 0
+    for d, ms in _lanes_corpus().items():
+        got = matrix_ring(d).stack(ms).norm()
+        assert got.tobytes() == np.array([m.norm() for m in ms]).tobytes()
+        rescaled += sum(1 for m in ms
+                        if not sys.float_info.min <= math.fsum(
+                            p * p for p in _parts(m)) < math.inf)
+    assert rescaled >= 40
+
+
+@_numpy_warns_too
+def test_lanes_inverse_masks_where_inv_refuses():
+    """A lane is masked exactly where the lone ``inv`` refuses, and where
+    it accepts an inverse whose residual is NaN (``resid > INV_TOL`` is
+    false for NaN); every other lane has the lone inverse's bits."""
+    refusals = collections.Counter()
+    for d, ms in _lanes_corpus().items():
+        lanes = matrix_ring(d).stack([MatScalar(m.a) for m in ms])
+        x = lanes.inv()
+        assert x is lanes.inv() and x.mask is lanes.mask
+        for n, m in enumerate(ms):
+            outcome = _outcome(MatScalar(m.a).inv)
+            if isinstance(outcome, tuple):
+                assert outcome[0] is NotInvertible
+                assert not lanes.mask[n]
+                refusals[outcome[1].split()[0]] += 1
+            elif math.isnan(_fro(m.a @ MatScalar(m.a).inv().a - np.eye(d))):
+                assert not lanes.mask[n]
+                refusals["nan residual"] += 1
+            else:
+                assert lanes.mask[n]
+                assert x.a[n].tobytes() == outcome
+    # every a - a and the edges; residual refusals and NaN residuals among
+    # the tiny and huge
+    assert refusals["condition"] >= 1000 and refusals["solve"] >= 1, refusals
+    assert refusals["nan residual"] >= 1, refusals
+
+
+def test_sampled_lanes_carry_their_condition_numbers():
+    ring = matrix_ring(3)
+    xs = [sample(ring, Seed(43, c)) for c in range(50)]
+    lanes = ring.stack(xs)
+    assert lanes._cond.tolist() == [x._cond for x in xs]
+    assert ring.stack(xs + [xs[0] - xs[1]])._cond is None
+    assert lanes.inv().a.tobytes() == _stacked([x.inv() for x in xs])
+    assert lanes.mask.all()
+
+
+@pytest.mark.parametrize("name", [n for n in _REFUSED if n != "empty"])
+def test_each_refused_matrix_masks_its_lane(name):
+    """A refused matrix masks its own lane only; the others invert as
+    alone.  (No matrix ring has dimension 0, so the empty matrix never
+    stands in a lane.)"""
+    ring = matrix_ring(2)
+    good = [sample(ring, Seed(47, c)) for c in range(2)]
+    lanes = ring.stack([good[0], MatScalar(_REFUSED[name]), good[1]])
+    x = lanes.inv()
+    assert lanes.mask.tolist() == [True, False, True]
+    assert x.a[0].tobytes() == good[0].inv().a.tobytes()
+    assert x.a[2].tobytes() == good[1].inv().a.tobytes()
+
+
+def test_lanes_never_warn_and_restore_the_error_state():
+    """Every lanes operation runs under ``np.errstate(all="ignore")``:
+    NaN, infinite and huge lanes raise nothing and warn nothing, whatever
+    state the caller set, and that state is back afterwards."""
+    ring = matrix_ring(2)
+    ms = [MatScalar(e) for n, e in _REFUSED.items() if n != "empty"]
+    ms += [m for m in _EDGES if m.dim == 2]
+    for outer in ({}, {"all": "raise"}, {"all": "warn"}):
+        with warnings.catch_warnings(), np.errstate(**outer):
+            warnings.simplefilter("error")
+            state = np.geterr(), np.geterrcall()
+            a = ring.stack(ms)
+            b = ring.stack(ms[::-1], a)
+            c = ms[3]
+            for v in (a + b, a - b, a * b, -a, a * 1e300, 1e300 * a,
+                      a.scale(1e300), a + c, c + a, a - c, c - a, a * c,
+                      c * a, b.inv(), (a * b).inv().inv()):
+                v.norm()
+            a.rows([a.norm(), 1.0])
+            assert not a.mask.any()
+            assert (np.geterr(), np.geterrcall()) == state, outer
+
+
+def test_lanes_refuse_other_stacks_and_dims():
+    ring = matrix_ring(2)
+    xs = [sample(ring, Seed(53, c)) for c in range(3)]
+    a, b = ring.stack(xs), ring.stack(xs)
+    with pytest.raises(DimensionMismatch):
+        a + b
+    with pytest.raises(DimensionMismatch):
+        a * sample(matrix_ring(3), Seed(53, 0))
+    with pytest.raises(TypeError):
+        a + QUATERNION.one
+    with pytest.raises(AttributeError):
+        a.mask = b.mask

@@ -97,7 +97,9 @@ def test_nan_in_a_later_identity_fails_trial(monkeypatch, capsys):
 @pytest.mark.parametrize("ring", ["quaternion", "matrix"])
 def test_dv_cocycle_makes_four_dv_calls_per_trial(monkeypatch, ring):
     """The chain DV(A,X,B,Y) * DV(A,Y,B,Z) is built once and serves both
-    identities: four operator cross-ratios per trial, not six."""
+    identities: four operator cross-ratios per trial, not six.  The count
+    is per call of the trial body, so the matrix trials run on the scalar
+    path, one call each, not as lanes."""
     dv, calls, per_trial = crossratio.dv, [], []
 
     def counting(quad):
@@ -115,7 +117,7 @@ def test_dv_cocycle_makes_four_dv_calls_per_trial(monkeypatch, ring):
     monkeypatch.setattr(crossratio, "dv", counting)
     monkeypatch.setitem(SUITES, "dv-cocycle",
                         dataclasses.replace(SUITES["dv-cocycle"],
-                                            trial=counted))
+                                            trial=counted, lanes=False))
     report = run_suite(SuiteConfig("dv-cocycle", ring=ring, trials=20))
     assert report.trials_run == 20
     assert len(per_trial) >= 20 and set(per_trial) == {4}
