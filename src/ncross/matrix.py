@@ -23,10 +23,12 @@ its bits.  This module is the only one that names ``_umath_linalg``.
 
 ``MatLanes`` stacks one matrix per trial of a chunk into an (N, d, d)
 array, so that ``suites.run_suite`` runs a trial body once for N trials
-(``MatrixRing.stack``).  Its operations make the same BLAS and LAPACK
-calls per lane as ``MatScalar``'s on one matrix, so an unmasked lane has
-the lone matrix's bits; where ``MatScalar.inv`` would refuse, the lane is
-masked instead, and its trial is replayed on the scalar path.
+(``MatrixRing.sample_stack``, which samples a chunk's draws with one
+stacked SVD guard, to ``Ring.sample``'s bits).  Its operations make the
+same BLAS and LAPACK calls per lane as ``MatScalar``'s on one matrix, so
+an unmasked lane has the lone matrix's bits; where ``MatScalar.inv``
+would refuse, the lane is masked instead, and its trial is replayed on
+the scalar path.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ import math
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from ._stream import Stream
 from .errors import DimensionMismatch, NotInvertible
 from .scalars import (INV_COND_MAX, INV_TOL, MAX_SAMPLE_COND, Ring, Scalar,
-                      _MIN_NORMAL, _real, _refuse_non_finite)
+                      Seed, _MIN_NORMAL, _real, _refuse_non_finite)
 
 
 class MatScalar(Scalar):
@@ -395,6 +398,11 @@ _set_lanes_a, _set_lanes_mask, _set_lanes_inv, _set_lanes_cond = (
     MatLanes.__dict__[n].__set__ for n in MatLanes.__slots__)
 
 
+def _mask(n, like):
+    """The lane mask of ``like``, or a clear one of ``n`` lanes."""
+    return np.ones(n, dtype=bool) if like is None else like.mask
+
+
 def _lanes(a, mask, cond=None):
     """A MatLanes owning the fresh (N, d, d) array ``a`` and sharing the
     lane mask ``mask``."""
@@ -423,6 +431,16 @@ def _lanes_fro(a):
 
 
 @_quiet
+def _lanes_cond(a):
+    """``_cond`` of every lane of the stack ``a`` from one stacked SVD,
+    where it is finite: IEEE division of the same singular values.  A lane
+    whose SVD failed, or whose smallest singular value is zero, holds NaN
+    or inf."""
+    s = _svd(a, signature="D->d")
+    return s[:, 0] / s[:, -1]
+
+
+@_quiet
 def _lanes_inverse(lanes):
     """The stacked inverse of ``lanes``, after ``MatScalar.inv``'s checks
     per lane.  A lane is masked unless its condition number is at most
@@ -432,8 +450,7 @@ def _lanes_inverse(lanes):
     a = lanes.a
     cond = lanes._cond
     if cond is None:
-        s = _svd(a, signature="D->d")
-        cond = s[:, 0] / s[:, -1]
+        cond = _lanes_cond(a)
     x = _umath_linalg.inv(a, signature="D->D")
     resid = _lanes_fro(a @ x - _eye(a.shape[1]))
     mask = lanes.mask
@@ -469,11 +486,54 @@ class MatrixRing(Ring):
         """The lone matrices ``scalars``, one per lane, as one lanes scalar.
         It shares the lane mask of ``like``, lanes of the same chunk, or
         starts a clear one.  When every matrix carries the condition number
-        its sampling guard computed, so do the lanes."""
+        its sampling guard computed, so do the lanes.  ``sample_stack``
+        stacks a chunk's draws through it unless they are all fresh."""
         a = np.stack([s.a for s in scalars])
-        mask = np.ones(len(a), dtype=bool) if like is None else like.mask
         conds = [s._cond for s in scalars]
-        return _lanes(a, mask, None if None in conds else np.array(conds))
+        return _lanes(a, _mask(len(a), like),
+                      None if None in conds else np.array(conds))
+
+    def sample_stack(self, seed: int, counters, drawn,
+                     like=None) -> tuple[MatLanes, dict]:
+        """``self.sample(Seed(seed, c))`` for each counter ``c`` of
+        ``counters``, one per lane, as one lanes scalar sharing the lane
+        mask of ``like`` (see ``stack``); and the draws not found in
+        ``drawn``, the draw pool of ``suites.LanesDraw``, by counter in
+        lane order.
+
+        A counter in ``drawn`` takes the scalar stored there.  The others
+        take their stream's first candidate: one array holds all of them,
+        and one stacked SVD, which has the single SVD's bits per matrix,
+        gives each its condition number.  A candidate that ``_guard``
+        would accept becomes a read-only row of that array carrying its
+        condition number; every other counter is drawn again by
+        ``sample``, which resamples, raises and gives up as the scalar
+        path does.  When every lane is a fresh accepted candidate, the
+        lanes are that array itself."""
+        d = self.dim
+        scalars = [drawn.get(c) for c in counters]
+        miss = [c for c, s in zip(counters, scalars) if s is None]
+        if not miss:
+            return self.stack(scalars, like), {}
+        flat = []
+        for c in miss:
+            flat += Stream(seed, c).uniform(d * d)
+        a = np.array(flat, dtype=complex).reshape(len(miss), d, d)
+        a.setflags(write=False)
+        cond = _lanes_cond(a)
+        # as in _guard, a NaN or infinite condition number is refused
+        ok = (cond <= MAX_SAMPLE_COND).tolist()
+        fresh = {}
+        for row, c, good, k in zip(a, miss, ok, cond.tolist()):
+            if good:
+                m = fresh[c] = _mat(row)
+                _set_cond(m, k)
+            else:
+                fresh[c] = self.sample(Seed(seed, c))
+        if len(miss) == len(counters) and all(ok):
+            return _lanes(a, _mask(len(a), like), cond), fresh
+        return self.stack([fresh[c] if s is None else s
+                           for c, s in zip(counters, scalars)], like), fresh
 
     def __eq__(self, other):
         return isinstance(other, MatrixRing) and other.dim == self.dim

@@ -366,9 +366,9 @@ class RationalScalar(_Number):
 class Ring:
     name: str
     commutative: bool
-    #: whether ``stack`` turns one draw per trial of a chunk into one lanes
-    #: scalar, so a trial body runs once per chunk: only the matrix ring
-    #: (``ncross.matrix.MatrixRing.stack``)
+    #: whether ``sample_stack`` draws one scalar per trial of a chunk as one
+    #: lanes scalar, so a trial body runs once per chunk: only the matrix
+    #: ring (``ncross.matrix.MatrixRing.sample_stack``)
     lanes = False
 
     @cached_property

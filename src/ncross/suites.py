@@ -22,7 +22,10 @@ inverse.
 On the matrix ring, plucker-properties, dv-equivalence and dv-cocycle run
 their unchanged trial bodies on lanes: one call per chunk of up to
 ``LANES`` trials, each scalar a stack of one matrix per trial
-(``LanesDraw``, ``ncross.matrix.MatLanes``).  A lane that passes keeps its
+(``LanesDraw``, ``ncross.matrix.MatLanes``).  A lanes draw samples the
+chunk's draws missing from the pool together, with one stacked guard
+(``MatrixRing.sample_stack``), and every one of them is the scalar
+``Ring.sample`` draws for its counter.  A lane that passes keeps its
 residual; every other lane is replayed on the scalar path
 (``run_suite``), so the report is the scalar path's, bit for bit."""
 
@@ -97,11 +100,15 @@ class Draw:
             entry = _pool[ring] = (seed, {})
         self._drawn = entry[1]
 
-    def scalar(self) -> Scalar:
+    def _counter(self) -> int:
+        """The counter of the trial's next draw, within its budget."""
         if self.k >= _STRIDE:
             raise DrawBudgetExceeded(
                 f"trial {self.trial} drew more than {_STRIDE} scalars")
-        counter = self.trial * _STRIDE + self.k
+        return self.trial * _STRIDE + self.k
+
+    def scalar(self) -> Scalar:
+        counter = self._counter()
         drawn = self._drawn
         s = drawn.get(counter)
         if s is None:
@@ -128,10 +135,12 @@ class Draw:
 
 class LanesDraw(Draw):
     """Draws for trials ``trial .. trial + n - 1`` at once: draw k is the
-    k-th scalar of every one of those trials, each drawn by that trial's
-    own ``Draw`` through the draw pool, stacked by ``Ring.stack`` into one
-    lanes scalar.  Every draw shares the lane mask of the first, ``lanes``.
-    """
+    k-th scalar of every one of those trials, as one lanes scalar.  Each
+    trial keeps its own ``Draw``, which counts its draws against its
+    budget.  The ring's ``sample_stack`` takes the draws the pool holds
+    and samples the others together, to ``Ring.sample``'s bits; they join
+    the pool in trial order, as each trial's ``Draw.scalar`` would add
+    them.  Every draw shares the lane mask of the first, ``lanes``."""
 
     def __init__(self, ring: Ring, seed: int, trial: int, n: int):
         super().__init__(ring, seed, trial)
@@ -139,7 +148,15 @@ class LanesDraw(Draw):
         self.lanes = None
 
     def scalar(self) -> Scalar:
-        s = self.ring.stack([d.scalar() for d in self.draws], self.lanes)
+        drawn = self._drawn
+        s, fresh = self.ring.sample_stack(
+            self.seed, [d._counter() for d in self.draws], drawn, self.lanes)
+        for counter, x in fresh.items():
+            if len(drawn) >= POOL_CAP:
+                break
+            drawn[counter] = x
+        for d in self.draws:
+            d.k += 1
         if self.lanes is None:
             self.lanes = s
         self.k += 1

@@ -1,22 +1,28 @@
 """Lanes on the matrix ring: a lanes-capable suite runs its trial body once
 per chunk of trials on stacked matrices (``suites.run_suite``), and its
 report is the scalar path's, bit for bit.  The scalar path is forced by
-replacing the suite's spec with ``lanes=False``."""
+replacing the suite's spec with ``lanes=False``.  A lanes draw samples a
+chunk's missing draws together (``MatrixRing.sample_stack``), and each of
+them is the scalar ``Ring.sample`` draws."""
 
 import contextlib
 import dataclasses
 import gc
 import io
+import itertools
 import json
 
+import numpy as np
 import pytest
 
-from ncross import plucker, suites
+from ncross import matrix, plucker, scalars, suites
 from ncross.cli import main
-from ncross.errors import NotInvertible, agree, relative_residual
+from ncross.errors import (DrawBudgetExceeded, NotInvertible,
+                           ResampleLimitExceeded, agree, relative_residual)
 from ncross.matrix import MatLanes
 from ncross.scalars import Seed, matrix_ring, sample
-from ncross.suites import LANES, SUITES, Draw, SuiteConfig, run_suite
+from ncross.suites import (LANES, SUITES, Draw, LanesDraw, SuiteConfig,
+                           run_suite)
 
 #: the lanes-capable suites and their acceptance-gate tolerances
 LANES_SUITES = {"plucker-properties": 1e-9, "dv-equivalence": 1e-8,
@@ -29,13 +35,16 @@ def test_the_operator_suites_take_lanes():
     assert LANES >= 100
 
 
-def _report(cfg, lanes=True):
+def _report(cfg, lanes=True, prepare=None):
     """The report minus ``wall_time`` as sorted-key JSON, from a cold draw
-    pool; ``lanes=False`` forces the scalar path."""
+    pool, or from the one ``prepare()`` leaves; ``lanes=False`` forces the
+    scalar path."""
     spec = SUITES[cfg.suite]
     SUITES[cfg.suite] = dataclasses.replace(spec, lanes=lanes)
     try:
         suites.clear_draw_pool()
+        if prepare is not None:
+            prepare()
         doc = run_suite(cfg).to_json()
     finally:
         SUITES[cfg.suite] = spec
@@ -114,16 +123,16 @@ def test_a_chunk_whose_body_raises_is_replayed_whole(monkeypatch):
 @pytest.mark.parametrize("policy", ["count", "fail"])
 def test_a_singular_draw_is_skipped_as_before(monkeypatch, policy):
     """Trial 5 draws Q1 equal to P1, so Q1 - P1 is singular: its lane is
-    masked and replayed, and the scalar path skips it."""
-    scalar = Draw.scalar
+    masked and replayed, and the scalar path skips it.  Q1 is redirected
+    to P1's counter, which both paths draw through."""
+    counter = Draw._counter
 
     def patched(self):
-        s = scalar(self)
-        if self.trial == 5 and self.k == 3:
-            return Draw(self.ring, self.seed, 5).scalar()
-        return s
+        c = counter(self)
+        return self.trial * suites._STRIDE if (self.trial, self.k) == (5, 2) \
+            else c
 
-    monkeypatch.setattr(Draw, "scalar", patched)
+    monkeypatch.setattr(Draw, "_counter", patched)
     cfg = SuiteConfig("dv-equivalence", "matrix", trials=40, seed=1,
                       tol=1e-8, skip_policy=policy)
     doc = json.loads(_report(cfg))
@@ -156,3 +165,143 @@ def test_agree_and_relative_residual_work_per_lane():
         relative_residual(a, b).tolist())
     assert agree(a, b, 1e-9) is True
     assert a.mask.tolist() == [agree(x, y, 1e-9) for x, y in zip(xs, ys)]
+
+
+#: a sampling bound that refuses about a third of the matrix(2) first
+#: candidates and most matrix(4) ones, several times over for some counters
+_LOW_COND = 5.0
+
+
+def _pool_state(state, ring, seed, n, monkeypatch):
+    """A ``prepare`` for ``_report`` that leaves the draw pool "cold",
+    empty; "warm", holding draws 0-2 of every other trial of a chunk of
+    ``n``; or "full", the same with ``POOL_CAP`` lowered to its size."""
+    warmed = range(0, n, 2)
+    if state == "full":
+        monkeypatch.setattr(suites, "POOL_CAP", 3 * len(warmed))
+
+    def prepare():
+        if state != "cold":
+            for t in warmed:
+                d = Draw(ring, seed, t)
+                for _ in range(3):
+                    d.scalar()
+    return prepare
+
+
+@pytest.mark.parametrize("bound", ["guard", "low"])
+@pytest.mark.parametrize("state", ["cold", "warm", "full"])
+@pytest.mark.parametrize("n", [1, 37, LANES + 1])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_lanes_draws_are_the_sampled_scalars(dim, n, state, bound,
+                                             monkeypatch):
+    """Every lane of every draw is ``Ring.sample``'s scalar for its counter,
+    entries and condition number, and the pool ends as the scalar path
+    leaves it.  The low bound makes the stacked guard refuse first
+    candidates, which ``Ring.sample`` then resamples under the same
+    bound."""
+    if bound == "low":
+        monkeypatch.setattr(matrix, "MAX_SAMPLE_COND", _LOW_COND)
+    ring = matrix_ring(dim)
+    seed = 40 + dim
+    prepare = _pool_state(state, ring, seed, n, monkeypatch)
+    suites.clear_draw_pool()
+    prepare()
+    resampled = []
+    ring_sample = scalars.Ring.sample
+
+    def counting(self, at):
+        resampled.append(at.counter)
+        return ring_sample(self, at)
+
+    monkeypatch.setattr(scalars.Ring, "sample", counting)
+    d = LanesDraw(ring, seed, 0, n)
+    drawn = [d.scalar() for _ in range(5)]
+    monkeypatch.setattr(scalars.Ring, "sample", ring_sample)
+    if bound == "guard":  # every first candidate passes at these seeds
+        assert not resampled
+    elif dim > 1 and n > 1:
+        assert resampled
+    pooled = list(suites._pool[ring][1])
+    for k, lanes in enumerate(drawn):
+        want = [sample(ring, Seed(seed, t * suites._STRIDE + k))
+                for t in range(n)]
+        assert lanes.a.tobytes() == b"".join(w.a.tobytes() for w in want)
+        assert lanes._cond.tobytes() == np.array(
+            [w._cond for w in want]).tobytes()
+        assert lanes.mask is d.lanes.mask
+    assert [t.k for t in d.draws] == [5] * n
+    # the scalar path's pool: each trial's draws in turn, per draw
+    suites.clear_draw_pool()
+    prepare()
+    draws = [Draw(ring, seed, t) for t in range(n)]
+    for _ in range(5):
+        for t in draws:
+            t.scalar()
+    assert pooled == list(suites._pool[ring][1])
+    if state == "full":
+        assert len(pooled) == suites.POOL_CAP
+    cfg = SuiteConfig("dv-cocycle", "matrix", dim=dim, trials=n, seed=seed,
+                      tol=1e-8)
+    assert _report(cfg, prepare=prepare) == _report(cfg, False, prepare)
+    suites.clear_draw_pool()
+
+
+def test_a_draw_past_the_resample_limit_raises_as_before(monkeypatch):
+    """A bound below 1 refuses every matrix(1) candidate, so the first
+    counter gives up on both paths."""
+    monkeypatch.setattr(matrix, "MAX_SAMPLE_COND", 0.5)
+    ring = matrix_ring(1)
+    suites.clear_draw_pool()
+    with pytest.raises(ResampleLimitExceeded):
+        Draw(ring, 0, 0).scalar()
+    with pytest.raises(ResampleLimitExceeded):
+        LanesDraw(ring, 0, 0, 3).scalar()
+    suites.clear_draw_pool()
+
+
+#: trial counts that give each suite's chunks draws of which some are
+#: pooled by the suites before it and some are not
+_ORDER_TRIALS = {"plucker-properties": 37, "dv-equivalence": LANES + 1,
+                 "dv-cocycle": 100}
+
+
+def test_operator_reports_do_not_depend_on_the_suite_order():
+    """matrix(3) at seed 3, where dv-equivalence logs a failure: each
+    suite's report is the same in all six orders, each from a cleared
+    pool."""
+    reports = set()
+    for order in itertools.permutations(sorted(LANES_SUITES)):
+        suites.clear_draw_pool()
+        got = {}
+        for suite in order:
+            doc = run_suite(SuiteConfig(
+                suite, "matrix", trials=_ORDER_TRIALS[suite], seed=3,
+                tol=LANES_SUITES[suite])).to_json()
+            del doc["wall_time"]
+            got[suite] = doc
+        reports.add(json.dumps(got, sort_keys=True))
+    suites.clear_draw_pool()
+    assert len(reports) == 1
+    assert json.loads(reports.pop())["dv-equivalence"]["failures"]
+
+
+def test_a_lanes_body_past_the_draw_budget_raises(monkeypatch):
+    """With the budget lowered to 3, dv-equivalence's fourth draw raises on
+    both paths; each trial of a lanes draw keeps its own count."""
+    stride = suites._STRIDE
+    cfg = SuiteConfig("dv-equivalence", "matrix", trials=5, seed=0,
+                      tol=1e-8)
+    with monkeypatch.context() as m:
+        m.setattr(suites, "_STRIDE", 3)
+        for lanes in (True, False):
+            with pytest.raises(DrawBudgetExceeded):
+                _report(cfg, lanes)
+        d = LanesDraw(matrix_ring(3), 0, 0, 5)
+        for _ in range(3):
+            d.scalar()
+        with pytest.raises(DrawBudgetExceeded):
+            d.scalar()
+        assert [t.k for t in d.draws] == [3] * 5
+    assert suites._STRIDE == stride
+    suites.clear_draw_pool()

@@ -597,24 +597,32 @@ def test_gap_memo_stays_within_its_cap(ring):
     assert max(sizes) == plucker.MEMO_CAP
 
 
-#: LAPACK inverses and matrix results of matrix(3) plucker-properties,
-#: seeds 0-4, 100 trials each, from a cold draw pool and empty memos, with
-#: every trial on the scalar path (``suites._run_trial``).  Before the gap
-#: memo each x-gap was computed afresh: 20,545 inverses and 156,894 results.
-_MATRIX_WORK = {"inv": 16557, "_mat": 125831}
+#: LAPACK inverses, single SVDs and matrix results of matrix(3)
+#: plucker-properties, seeds 0-4, 100 trials each, from a cold draw pool and
+#: empty memos, with every trial on the scalar path (``suites._run_trial``).
+#: Before the gap memo each x-gap was computed afresh: 20,545 inverses and
+#: 156,894 results.
+_MATRIX_WORK = {"inv": 16557, "_mat": 125831, "svd": 20064}
 
 #: the same five calls through ``run_suite``, which runs them as lanes:
 #: stacked LAPACK inverse calls, the lanes they invert, and the single
-#: inverses of the trials replayed on the scalar path
-_LANES_WORK = {"stacked": 165, "lanes": 16500, "inv": 32}
+#: inverses of the trials replayed on the scalar path; stacked SVD calls,
+#: one per lanes draw and one per lanes inverse without sampled condition
+#: numbers, and the single SVDs of rejected candidates and replayed trials.
+#: Before the stacked sampling guard every draw ran its own SVD: 8,030
+#: single and 120 stacked.
+_LANES_WORK = {"stacked": 165, "lanes": 16500, "inv": 32, "svd": 36,
+               "svd_stacked": 200}
 
 
 def _counting_lapack(monkeypatch, count):
-    """Count the LAPACK inverse calls of ``ncross.matrix`` into ``count``:
-    a single matrix's under "inv", a stack's under "stacked" with its
-    lanes under "lanes"."""
+    """Count the LAPACK inverse and SVD calls of ``ncross.matrix`` into
+    ``count``: a single matrix's inverse under "inv", a stack's under
+    "stacked" with its lanes under "lanes"; a single matrix's SVD under
+    "svd", a stack's under "svd_stacked"."""
     from ncross import matrix
     lapack = matrix._umath_linalg
+    svd = matrix._svd
 
     class CountingLapack:
         def __getattr__(self, name):
@@ -628,7 +636,12 @@ def _counting_lapack(monkeypatch, count):
                 count["inv"] += 1
             return lapack.inv(a, *args, **kwargs)
 
+    def counting_svd(a, *args, **kwargs):
+        count["svd_stacked" if a.ndim == 3 else "svd"] += 1
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(matrix, "_umath_linalg", CountingLapack())
+    monkeypatch.setattr(matrix, "_svd", counting_svd)
 
 
 def _plucker_matrix_calls():
@@ -638,7 +651,8 @@ def _plucker_matrix_calls():
 
 def test_shared_gaps_cut_the_matrix_work(monkeypatch):
     from ncross import matrix
-    count = {"inv": 0, "_mat": 0, "stacked": 0, "lanes": 0}
+    count = {"inv": 0, "_mat": 0, "stacked": 0, "lanes": 0, "svd": 0,
+             "svd_stacked": 0}
     mat = matrix._mat
 
     def counting_mat(a):
@@ -655,11 +669,12 @@ def test_shared_gaps_cut_the_matrix_work(monkeypatch):
         for idx in range(cfg.trials):
             suites._run_trial(spec, ring, cfg, idx)
     suites.clear_draw_pool()
-    assert count == {**_MATRIX_WORK, "stacked": 0, "lanes": 0}
+    assert count == {**_MATRIX_WORK, "stacked": 0, "lanes": 0,
+                     "svd_stacked": 0}
 
 
 def test_lanes_cut_the_matrix_lapack_calls(monkeypatch):
-    count = {"inv": 0, "stacked": 0, "lanes": 0}
+    count = {"inv": 0, "stacked": 0, "lanes": 0, "svd": 0, "svd_stacked": 0}
     _counting_lapack(monkeypatch, count)
     suites.clear_draw_pool()
     plucker.clear_memos()
