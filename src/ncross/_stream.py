@@ -12,8 +12,9 @@ words.
 Building those three numpy objects costs far more than the handful of
 integer steps they perform for one scalar.  Here the pool hash constants,
 which do not depend on the data, are tabulated, and the seed's part of the
-pool is mixed once per seed (cached).  A stream is built for every drawn
-scalar, so its own steps are written out as straight-line code:
+pool is mixed once per seed (cached).  ``Ring.sample`` builds a stream for
+every scalar it draws, so its own steps are written out as straight-line
+code:
 
 - the first counter word is mixed into the four pool words with the four
   hash constants that follow the seed's, which ``_seed_pool`` hands over
@@ -26,6 +27,12 @@ the same integer operations on the same operands in the same order, so
 every output keeps numpy's bits (``tests/test_scalars.py`` compares them
 with numpy's own generator, at 32-bit word boundaries of the seed and the
 counter too).
+
+``Stream`` is the definition of a draw.  A lanes draw of the matrix ring
+computes the streams of a whole chunk of counters together, on numpy
+arrays (``ncross.matrix._uniforms``, the one module that may import
+numpy): the same integer and IEEE operations, from this module's cached
+seed pool and hash constants, so every lane has ``Stream``'s bits.
 """
 
 from __future__ import annotations

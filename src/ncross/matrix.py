@@ -29,17 +29,27 @@ same BLAS and LAPACK calls per lane as ``MatScalar``'s on one matrix, so
 an unmasked lane has the lone matrix's bits; where ``MatScalar.inv``
 would refuse, the lane is masked instead, and its trial is replayed on
 the scalar path.
+
+A lanes draw computes its chunk's streams together (``_uniforms``): the
+integer steps of ``_stream.Stream`` on uint64 arrays, one lane per
+counter, with PCG64's LCG jumped ahead to every draw's state at once.
+They are the same integer and IEEE operations, so every lane has the
+bits of ``Stream(seed, counter).uniform(d * d)``.  ``Stream`` remains the
+definition of a draw: ``Ring.sample``, and with it every resampled
+candidate, uses it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from ._stream import Stream
+from ._stream import (_DOUBLE_UNIT, _HASH_A, _HASH_B, _M32, _M64, _M128,
+                      _MIX_L, _MIX_R, _PCG_MULT, _POOL, _grow, _seed_pool)
 from .errors import DimensionMismatch, NotInvertible
 from .scalars import (INV_COND_MAX, INV_TOL, MAX_SAMPLE_COND, Ring, Scalar,
                       Seed, _MIN_NORMAL, _real, _refuse_non_finite)
@@ -458,6 +468,125 @@ def _lanes_inverse(lanes):
     return x
 
 
+# Stacked streams: ``_stream.Stream``'s integer steps for many counters at
+# once, on uint64 arrays of 32- or 64-bit words.  Every constant is an
+# explicit ``np.uint64``, so that no operand is promoted to float64 (numpy
+# before 2 promotes a uint64 mixed with a signed integer).  A 32-bit word
+# times a 32-bit constant is exact in 64 bits, and a product or difference
+# wrapped modulo 2**64 is the same modulo 2**32, so every step cut to 32
+# bits is ``Stream``'s.
+
+_LOW32 = np.uint64(_M32)
+_U1, _U11, _U16, _U32 = (np.uint64(1), np.uint64(11), np.uint64(16),
+                        np.uint64(32))
+_U58, _U63, _U64 = np.uint64(58), np.uint64(63), np.uint64(64)
+_UMIX_L, _UMIX_R = np.uint64(_MIX_L), np.uint64(_MIX_R)
+
+
+def _steps(steps, shape=(-1, 1)):
+    """The xor and the multiply constants of hash steps, as uint64 arrays
+    of ``shape``."""
+    return (np.array([x for x, _ in steps], dtype=np.uint64).reshape(shape),
+            np.array([m for _, m in steps], dtype=np.uint64).reshape(shape))
+
+
+#: generate_state's eight hash steps, as (2, 4, 1): the first four hash
+#: pool words 0-3, and so do the last four
+_GEN_X, _GEN_M = _steps(_HASH_B, (2, _POOL, 1))
+
+
+def _mix_word(pool, w, steps):
+    """``_stream._mix_in`` of one word per lane: ``pool`` holds the four
+    pool words as rows, (4, N), or (4, 1) for words every lane shares;
+    ``w`` the lanes' words, and ``steps`` the four hash steps that mix a
+    word into pool words 0-3."""
+    x, m = _steps(steps)
+    h = ((w ^ x) * m) & _LOW32
+    r = (_UMIX_L * pool - _UMIX_R * (h ^ (h >> _U16))) & _LOW32
+    return r ^ (r >> _U16)
+
+
+def _mulhi(x, y0, y1):
+    """The high 64 bits of the 128-bit products of the uint64s ``x`` and
+    ``y``, from the 32-bit limbs ``y0``, ``y1`` of ``y``: four 32 x 32-bit
+    products, each exact in 64 bits."""
+    x0, x1 = x & _LOW32, x >> _U32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return x1 * y1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+
+
+@functools.cache
+def _jump(n):
+    """The jump-ahead tables of draws 1..n.  ``srandom`` takes two LCG
+    steps before the first draw, so draw k's state is ``A_k u + C_k inc``
+    mod 2**128, with u = inc + initstate, ``A_k = MULT**(k+1)`` and
+    ``C_k = 1 + MULT + ... + MULT**k``.  As (2, 1, n) uint64 arrays, row 0
+    for A and row 1 for C: the high words, the low words, and the low
+    words' 32-bit limbs."""
+    a, c, rows = _PCG_MULT, 1, ([], [])
+    for _ in range(n):
+        c = (c + a) & _M128
+        a = (a * _PCG_MULT) & _M128
+        rows[0].append(a)
+        rows[1].append(c)
+    hi = np.array([[v >> 64 for v in r] for r in rows], dtype=np.uint64)
+    lo = np.array([[v & _M64 for v in r] for r in rows], dtype=np.uint64)
+    hi, lo = hi[:, None], lo[:, None]
+    return hi, lo, lo & _LOW32, lo >> _U32
+
+
+def _uniforms(seed: int, counters, n: int) -> np.ndarray:
+    """``Stream(seed, c).uniform(n)`` for every counter ``c`` of
+    ``counters``, one per row of an (len(counters), n) float64 array, by
+    ``Stream``'s integer and IEEE operations, so every row has its bits.
+
+    The counters' 32-bit words are mixed into the seed's cached pool words
+    for all lanes at once; a word past a counter's last is mixed only
+    where its lane's mask is set.  ``generate_state``'s eight hashes give
+    each lane its 128-bit increment and initial state as (high, low) word
+    pairs, and every LCG state of every lane comes from the jump-ahead
+    tables (``_jump``), each 128-bit product from 64-bit words and 32-bit
+    limbs.  Then XSL-RR and the 53-bit double, elementwise."""
+    *pool, first, k = _seed_pool(operator.index(seed))
+    if min(counters) < 0:
+        raise ValueError("expected non-negative integer")
+    nw = max(1, (max(counters).bit_length() + 31) // 32)
+    words = np.frombuffer(
+        b"".join(c.to_bytes(4 * nw, "little") for c in counters),
+        dtype="<u4").reshape(len(counters), nw).T.astype(np.uint64)
+    p = _mix_word(np.array(pool, dtype=np.uint64)[:, None], words[0], first)
+    _grow(k + _POOL * (nw - 1))
+    for j in range(1, nw):
+        live = words[j:].any(axis=0)
+        p = np.where(live, _mix_word(p, words[j], _HASH_A[k:k + _POOL]), p)
+        k += _POOL
+    # generate_state(4, uint64): eight hashes, paired little-endian into
+    # the (high, low) words of initstate, s[0], and of initseq, s[1]
+    h = ((p ^ _GEN_X) * _GEN_M) & _LOW32
+    h ^= h >> _U16
+    s = h[:, 0::2] | h[:, 1::2] << _U32
+    # the (high, low) words of u, z[0], and of inc, z[1]
+    z = np.empty_like(s)
+    np.left_shift(s[1], _U1, out=z[1])
+    z[1, 0] |= s[1, 1] >> _U63
+    z[1, 1] |= _U1
+    np.add(z[1], s[0], out=z[0])
+    z[0, 0] += z[0, 1] < z[1, 1]
+    # every draw's state, A_k u + C_k inc: (u, inc) x (A, C) on axis 0
+    t_hi, t_lo, t0, t1 = _jump(n)
+    hi, lo = z[:, 0, :, None], z[:, 1, :, None]
+    x_lo = lo * t_lo
+    x_hi = _mulhi(lo, t0, t1) + hi * t_lo + lo * t_hi
+    lo = x_lo[0] + x_lo[1]
+    hi = x_hi[0] + x_hi[1] + (lo < x_lo[0])
+    # XSL-RR, then -1.0 + 2.0 * ((x >> 11) * 2**-53)
+    x = hi ^ lo
+    rot = hi >> _U58
+    x = (x >> rot) | (x << ((_U64 - rot) & _U63))
+    return -1.0 + 2.0 * ((x >> _U11).astype(np.float64) * _DOUBLE_UNIT)
+
+
 class MatrixRing(Ring):
     commutative = False
     lanes = True
@@ -502,9 +631,10 @@ class MatrixRing(Ring):
         lane order.
 
         A counter in ``drawn`` takes the scalar stored there.  The others
-        take their stream's first candidate: one array holds all of them,
-        and one stacked SVD, which has the single SVD's bits per matrix,
-        gives each its condition number.  A candidate that ``_guard``
+        take their stream's first candidate: the chunk's streams are
+        computed together (``_uniforms``), with ``Stream``'s bits, into one
+        array, and one stacked SVD, which has the single SVD's bits per
+        matrix, gives each its condition number.  A candidate that ``_guard``
         would accept becomes a read-only row of that array carrying its
         condition number; every other counter is drawn again by
         ``sample``, which resamples, raises and gives up as the scalar
@@ -515,10 +645,8 @@ class MatrixRing(Ring):
         miss = [c for c, s in zip(counters, scalars) if s is None]
         if not miss:
             return self.stack(scalars, like), {}
-        flat = []
-        for c in miss:
-            flat += Stream(seed, c).uniform(d * d)
-        a = np.array(flat, dtype=complex).reshape(len(miss), d, d)
+        a = _uniforms(seed, miss, d * d).astype(complex).reshape(
+            len(miss), d, d)
         a.setflags(write=False)
         cond = _lanes_cond(a)
         # as in _guard, a NaN or infinite condition number is refused

@@ -23,7 +23,8 @@ On the matrix ring, plucker-properties, dv-equivalence and dv-cocycle run
 their unchanged trial bodies on lanes: one call per chunk of up to
 ``LANES`` trials, each scalar a stack of one matrix per trial
 (``LanesDraw``, ``ncross.matrix.MatLanes``).  A lanes draw samples the
-chunk's draws missing from the pool together, with one stacked guard
+chunk's draws missing from the pool together, their streams computed
+together with ``Stream``'s bits and one stacked guard
 (``MatrixRing.sample_stack``), and every one of them is the scalar
 ``Ring.sample`` draws for its counter.  A lane that passes keeps its
 residual; every other lane is replayed on the scalar path

@@ -3,6 +3,9 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -115,6 +118,15 @@ def test_list_suites(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 19
     assert any(line.startswith("plucker-properties") for line in lines)
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m ncross`` is the ``ncross`` command."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncross", "list-suites"], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("plucker-properties")
 
 
 def test_verify_pass_json(capsys, tmp_path):

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from ncross import matrix, plucker, scalars, suites
+from ncross import _stream, matrix, plucker, scalars, suites
 from ncross.cli import main
 from ncross.errors import (DrawBudgetExceeded, NotInvertible,
                            ResampleLimitExceeded, agree, relative_residual)
@@ -245,6 +245,70 @@ def test_lanes_draws_are_the_sampled_scalars(dim, n, state, bound,
                       tol=1e-8)
     assert _report(cfg, prepare=prepare) == _report(cfg, False, prepare)
     suites.clear_draw_pool()
+
+
+@pytest.mark.parametrize("bound", ["guard", "low"])
+def test_a_chunk_across_a_counter_word_keeps_the_sampled_bits(bound,
+                                                             monkeypatch):
+    """A chunk of counters 2**32 - 50 .. 2**32 + 49, whose pool mixing
+    takes one counter word before 2**32 and two from it on: every lane and
+    every fresh draw is ``Ring.sample``'s scalar, entries and condition
+    number."""
+    if bound == "low":
+        monkeypatch.setattr(matrix, "MAX_SAMPLE_COND", _LOW_COND)
+    ring = matrix_ring(3)
+    counters = list(range(2 ** 32 - 50, 2 ** 32 + 50))
+    lanes, fresh = ring.sample_stack(11, counters, {})
+    want = [sample(ring, Seed(11, c)) for c in counters]
+    assert lanes.a.tobytes() == b"".join(w.a.tobytes() for w in want)
+    assert lanes._cond.tobytes() == np.array(
+        [w._cond for w in want]).tobytes()
+    assert list(fresh) == counters
+    assert [(x.a.tobytes(), x._cond) for x in fresh.values()] == [
+        (w.a.tobytes(), w._cond) for w in want]
+
+
+#: ``Stream`` constructions of the matrix(3) dv-equivalence call at seed 3,
+#: 100 trials, from a cold draw pool: the counter whose first candidate the
+#: sampling guard refuses.  Before the stacked streams every fresh draw
+#: built one: 401, 4 per trial and one to resample.
+_DV_STREAMS = 1
+
+
+def test_an_accepted_lane_builds_no_stream(monkeypatch):
+    """Lanes draws take every accepted candidate from the stacked streams
+    (``matrix._uniforms``), so a ``Stream`` is built only by ``Ring.sample``
+    for a counter the guard refused, or for a replayed trial's draw that
+    missed the pool; trial 53 is replayed here, and finds its draws
+    pooled."""
+    cfg = SuiteConfig("dv-equivalence", "matrix", trials=100, seed=3,
+                      tol=1e-8)
+    built, replayed = [], []
+    stream_init = _stream.Stream.__init__
+    run_trial = suites._run_trial
+
+    def counting_init(self, seed, counter):
+        built.append(counter)
+        stream_init(self, seed, counter)
+
+    def counting_run_trial(spec, ring, cfg, idx):
+        replayed.append(idx)
+        return run_trial(spec, ring, cfg, idx)
+
+    suites.clear_draw_pool()
+    with monkeypatch.context() as m:
+        m.setattr(_stream.Stream, "__init__", counting_init)
+        m.setattr(suites, "_run_trial", counting_run_trial)
+        run_suite(cfg)
+    suites.clear_draw_pool()
+    ring = matrix_ring(3)
+    refused = [c for c in (t * suites._STRIDE + k for t in range(cfg.trials)
+                           for k in range(4))
+               if not ring._guard(ring._draw(_stream.Stream(cfg.seed, c)))]
+    assert replayed == [53]
+    assert len(built) <= len(refused) + len(replayed)
+    assert built == refused
+    assert len(built) == _DV_STREAMS
 
 
 def test_a_draw_past_the_resample_limit_raises_as_before(monkeypatch):

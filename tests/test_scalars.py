@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncross._stream import Stream
-from ncross.matrix import MatLanes, _cond, _fro, _set_cond
+from ncross.matrix import MatLanes, _cond, _fro, _set_cond, _uniforms
 from ncross.errors import DimensionMismatch, NotInvertible
 from ncross.scalars import (COMPLEX, QUATERNION, RATIONAL, ComplexScalar,
                             MatScalar, Quaternion, RationalScalar, Seed,
@@ -346,6 +346,41 @@ def test_stream_rejects_negative_seed_and_counter():
     for seed, counter in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             Stream(seed, counter)
+
+
+#: counters at the 32-bit word boundaries of the pool mixing: one word, the
+#: last one-word counter, the first two-word one, two words, the last
+#: two-word one
+_WORD_COUNTERS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1]
+
+
+def _chunk(lanes):
+    """``lanes`` counters cycling over ``_WORD_COUNTERS``, each advanced by
+    its cycle: a chunk mixing counters of one, two and three words, which
+    straddles 2**32 and 2**64."""
+    return [_WORD_COUNTERS[i % 5] + i // 5 for i in range(lanes)]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 64])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 128])
+def test_stacked_streams_have_the_stream_bits(seed, n):
+    """Row i of ``matrix._uniforms`` is ``Stream(seed, c).uniform(n)`` and
+    numpy's own ``uniform(-1, 1, n)`` for counter i, byte for byte: each
+    word-boundary counter alone, and chunks of 100 and 128 lanes."""
+    chunks = [[c] for c in _WORD_COUNTERS] + [_chunk(100), _chunk(128)]
+    for counters in chunks:
+        got = _uniforms(seed, counters, n)
+        assert got.shape == (len(counters), n)
+        assert got.tobytes() == np.array(
+            [Stream(seed, c).uniform(n) for c in counters]).tobytes()
+        assert got.tobytes() == np.array(
+            [_rng(seed, c).uniform(-1.0, 1.0, size=n)
+             for c in counters]).tobytes()
+
+
+def test_stacked_streams_reject_a_negative_counter():
+    with pytest.raises(ValueError):
+        _uniforms(0, [3, -1], 4)
 
 
 #: each ring's draw built on numpy's Generator: the definition that
