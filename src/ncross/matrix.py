@@ -11,6 +11,10 @@ The hot path calls the LAPACK gufuncs behind ``np.linalg`` directly, with
 the signature and the ``np.errstate`` that ``np.linalg.svd`` and
 ``np.linalg.inv`` pass them: ``_umath_linalg.svd`` (``svd_n`` before numpy
 2) for the condition number and ``_umath_linalg.inv`` for the inverse.
+An inverse is computed first, and the condition number only where the
+Frobenius bound ``_fro(a) * _fro(x) <= INV_COND_MAX / 2`` cannot settle
+the refusal (``_lanes_inverse`` gives the argument); a sampled matrix
+carries the one its ring's guard computed.
 Each gufunc is called through one small function decorated once with its
 error state (``_singular_values``, ``_inverse``), so a call builds no
 ``errstate`` object and restores the caller's state when it returns or
@@ -66,8 +70,10 @@ class MatScalar(Scalar):
     The scalar owns a read-only copy of its entries, so its inverse is a
     function of the object: the first ``inv()`` stores its result, and
     later calls return that same object.  The condition number is computed
-    at most once per object as well; a sampled matrix carries the one its
-    ring's guard computed.  Refusals are not stored.
+    only where the Frobenius bound of the computed inverse cannot settle
+    the check (see ``_lanes_inverse``), and then at most once per object; a
+    sampled matrix carries the one its ring's guard computed.  Refusals
+    are not stored.
 
     ``a`` is always a read-only, 2-D, square complex128 array (``__init__``
     checks; ``_mat`` is handed only such arrays), which is what lets
@@ -139,15 +145,25 @@ class MatScalar(Scalar):
             return self._inv
         a = self.a
         cond = self._cond
+        x = None
         if cond is None:
+            # _lanes_inverse's rule: an inverse within the Frobenius bound
+            # settles the condition check, and only an open one takes the SVD
             try:
-                cond = _cond(a)
+                x = _inverse(a)
             except np.linalg.LinAlgError:
-                raise NotInvertible("condition estimate failed")
-            _set_cond(self, cond)
-        if not math.isfinite(cond) or cond > INV_COND_MAX:
+                pass
+            if x is None or not (a.size and _fro(a) * _fro(x) <= _COND_BOUND):
+                try:
+                    cond = _cond(a)
+                except np.linalg.LinAlgError:
+                    raise NotInvertible("condition estimate failed")
+                _set_cond(self, cond)
+        if cond is not None and (not math.isfinite(cond)
+                                 or cond > INV_COND_MAX):
             raise NotInvertible(f"condition {cond:.3g} exceeds {INV_COND_MAX:.3g}")
-        x = _inverse(a)
+        if x is None:
+            x = _inverse(a)
         resid = _fro(a @ x - _eye(a.shape[0]))
         if resid > INV_TOL:
             raise NotInvertible(f"solve residual {resid:.3g}")
@@ -240,12 +256,27 @@ def _fro(a):
     re, im = x.real, x.imag
     s = _vdot(re, re) + _vdot(im, im)
     if s == math.inf or s < _MIN_NORMAL:
-        m = max(np.abs(re).max(initial=0.0), np.abs(im).max(initial=0.0))
-        if m == 0 or m == math.inf:
-            return float(m)
-        re, im = re / m, im / m
-        return math.sqrt(re.dot(re) + im.dot(im)) * float(m)
+        return _fro_rescaled(re, im)
     return math.sqrt(s)
+
+
+# its own error state, not ``_quiet``: ``_lanes_fro`` calls ``_fro`` under
+# that one, and numpy before 2 keeps an errstate's saved state on the object
+@np.errstate(all="ignore")
+def _fro_rescaled(re, im):
+    """``_fro`` of the entries with real parts ``re`` and imaginary parts
+    ``im``, summed after dividing them by their largest part; an entry that
+    underflows in the division neither warns nor raises."""
+    m = max(np.abs(re).max(initial=0.0), np.abs(im).max(initial=0.0))
+    if m == 0 or m == math.inf:
+        return float(m)
+    re, im = re / m, im / m
+    return math.sqrt(re.dot(re) + im.dot(im)) * float(m)
+
+
+#: the largest ``_fro(a) * _fro(x)``, for a computed inverse x of a, that
+#: settles ``INV_COND_MAX``'s check without an SVD (see ``_lanes_inverse``)
+_COND_BOUND = INV_COND_MAX / 2
 
 
 def _cond(a):
@@ -299,10 +330,11 @@ class MatLanes(Scalar):
     On an unmasked lane every operation has ``MatScalar``'s bits:
     ``+ - neg scale`` are elementwise, ``*`` is the stacked matmul, which
     makes the single-matrix BLAS call once per lane, ``inv`` the stacked
-    SVD and LAPACK inverse and ``norm`` the same BLAS ``ddot`` as
-    ``_fro``.  A lone ``MatScalar`` of the same dimension broadcasts
-    against every lane, on either side.  No operation raises or warns on a
-    bad lane: each runs under ``np.errstate(all="ignore")``.
+    LAPACK inverse, with a stacked SVD of the lanes its Frobenius bound
+    leaves open, and ``norm`` the same BLAS ``ddot`` as ``_fro``.  A lone
+    ``MatScalar`` of the same dimension broadcasts against every lane, on
+    either side.  No operation raises or warns on a bad lane: each runs
+    under ``np.errstate(all="ignore")``.
 
     ``a`` is a read-only (N, d, d) complex128 array; ``inv()`` is memoised
     like ``MatScalar``'s, and a stack of sampled draws carries their
@@ -452,19 +484,41 @@ def _lanes_cond(a):
 
 @_quiet
 def _lanes_inverse(lanes):
-    """The stacked inverse of ``lanes``, after ``MatScalar.inv``'s checks
+    """The stacked inverse x of ``lanes``, after ``MatScalar.inv``'s checks
     per lane.  A lane is masked unless its condition number is at most
     ``INV_COND_MAX`` and its residual at most ``INV_TOL``; so NaN and
     infinite ones mask, where ``MatScalar.inv`` lets a NaN residual pass.
-    A masked lane's entries are whatever LAPACK left."""
-    a = lanes.a
-    cond = lanes._cond
-    if cond is None:
-        cond = _lanes_cond(a)
+    A masked lane's entries are whatever LAPACK left.
+
+    The condition numbers are the ones the lanes carry from the sampling
+    guard, when they do.  Otherwise a lane with ``_fro(a) * _fro(x) <=
+    _COND_BOUND`` (``INV_COND_MAX / 2``) passes the condition check without
+    an SVD.  The 2-norm condition number k = |a|_2 |a^-1|_2 is at most
+    |a|_F |a^-1|_F (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 6).  The computed x is a^-1 to a relative
+    error of a small multiple of u k, u = 2**-53 (section 14), and the
+    SVD's singular values are exact to a small multiple of u |a|_2, so
+    near ``INV_COND_MAX`` both are a few parts in 1e8: the factor 2 covers
+    them, and a lane whose SVD would read above ``INV_COND_MAX`` has a
+    bound above ``_COND_BOUND``.  A matrix so near singular that u k is not
+    small leaves an x of norm about 1 / (u |a|), far outside the bound
+    (the condition-1e16 matrices of the tests).  A NaN, infinite or
+    overflowing product compares false, so it never passes.  Only the
+    unmasked lanes the bound leaves open take the stacked SVD, which has
+    the single SVD's bits per matrix, so such a lane is decided by
+    ``_cond``'s value.  ``MatScalar.inv`` decides by the same rule, and
+    refuses an empty matrix, whose bound reads 0, by ``_cond``."""
+    a, mask = lanes.a, lanes.mask
     x = _umath_linalg.inv(a, signature="D->D")
+    if lanes._cond is None:
+        ok = _lanes_fro(a) * _lanes_fro(x) <= _COND_BOUND
+        open_ = np.flatnonzero(mask & ~ok)
+        if len(open_):
+            ok[open_] = _lanes_cond(a[open_]) <= INV_COND_MAX
+    else:
+        ok = lanes._cond <= INV_COND_MAX
     resid = _lanes_fro(a @ x - _eye(a.shape[1]))
-    mask = lanes.mask
-    mask &= (cond <= INV_COND_MAX) & (resid <= INV_TOL)
+    mask &= ok & (resid <= INV_TOL)
     return x
 
 

@@ -167,6 +167,40 @@ def test_agree_and_relative_residual_work_per_lane():
     assert a.mask.tolist() == [agree(x, y, 1e-9) for x, y in zip(xs, ys)]
 
 
+def test_inverses_run_the_svd_only_where_the_bound_is_open(monkeypatch):
+    """Derived values carry no condition number.  A chunk of well
+    conditioned products is settled by the Frobenius bound with no SVD; a
+    lane the bound leaves open takes one stacked SVD of that lane alone,
+    unless it is masked already.  A lone matrix does the same."""
+    ring = matrix_ring(3)
+    xs = [sample(ring, Seed(61, c)) for c in range(2 * LANES)]
+    products = [x * y for x, y in zip(xs[:LANES], xs[LANES:])]
+    # condition 9.9e7: within INV_COND_MAX, outside the bound
+    near = matrix.MatScalar(np.diag([1.0, 1.0, 1 / 9.9e7]))
+    svd_lanes = []
+    svd = matrix._svd
+
+    def counting_svd(a, *args, **kwargs):
+        svd_lanes.append(len(a) if a.ndim == 3 else "single")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(matrix, "_svd", counting_svd)
+    for opened, masked, want in (((), (), []), ((5,), (), [1]),
+                                 ((5, 9), (9,), [1])):
+        lanes = ring.stack([near if n in opened else m
+                            for n, m in enumerate(products)])
+        lanes.keep(~np.isin(np.arange(LANES), masked))
+        lanes.inv()
+        assert svd_lanes == want
+        assert lanes.mask.sum() == LANES - len(masked)
+        svd_lanes.clear()
+    products[0].inv()
+    assert svd_lanes == []
+    near.inv()
+    assert svd_lanes == ["single"]
+    assert near._cond == pytest.approx(9.9e7)
+
+
 #: a sampling bound that refuses about a third of the matrix(2) first
 #: candidates and most matrix(4) ones, several times over for some counters
 _LOW_COND = 5.0

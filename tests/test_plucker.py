@@ -601,18 +601,23 @@ def test_gap_memo_stays_within_its_cap(ring):
 #: plucker-properties, seeds 0-4, 100 trials each, from a cold draw pool and
 #: empty memos, with every trial on the scalar path (``suites._run_trial``).
 #: Before the gap memo each x-gap was computed afresh: 20,545 inverses and
-#: 156,894 results.
-_MATRIX_WORK = {"inv": 16557, "_mat": 125831, "svd": 20064}
+#: 156,894 results.  Before the Frobenius bound every inverse without a
+#: sampled condition number ran an SVD: 20,064 SVDs, and 16,557 inverses,
+#: one fewer, since a matrix refused by its condition number is now
+#: inverted before the SVD refuses it.
+_MATRIX_WORK = {"inv": 16558, "_mat": 125831, "svd": 8007}
 
 #: the same five calls through ``run_suite``, which runs them as lanes:
 #: stacked LAPACK inverse calls, the lanes they invert, and the single
 #: inverses of the trials replayed on the scalar path; stacked SVD calls,
-#: one per lanes draw and one per lanes inverse without sampled condition
-#: numbers, and the single SVDs of rejected candidates and replayed trials.
-#: Before the stacked sampling guard every draw ran its own SVD: 8,030
-#: single and 120 stacked.
-_LANES_WORK = {"stacked": 165, "lanes": 16500, "inv": 32, "svd": 36,
-               "svd_stacked": 200}
+#: one per lanes draw and one per lanes inverse that leaves an unmasked
+#: lane outside the Frobenius bound, and the single SVDs of rejected
+#: candidates and of replayed trials' draws and open inverses.  Before the
+#: stacked sampling guard every draw ran its own SVD: 8,030 single and 120
+#: stacked; before the bound every lanes inverse without sampled condition
+#: numbers ran one: 36 single, 32 single inverses and 200 stacked.
+_LANES_WORK = {"stacked": 165, "lanes": 16500, "inv": 33, "svd": 13,
+               "svd_stacked": 81}
 
 
 def _counting_lapack(monkeypatch, count):

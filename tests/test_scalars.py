@@ -1055,3 +1055,64 @@ def test_lanes_refuse_other_stacks_and_dims():
         a + QUATERNION.one
     with pytest.raises(AttributeError):
         a.mask = b.mask
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius bound that settles INV_COND_MAX's check, against the SVD's
+# decision
+
+#: condition numbers on both sides of the bound and of INV_COND_MAX, up to
+#: a numerically singular 1e16
+_CONDS = (1.0, 1e3, 1.6e7, 3.4e7, 5e7, 9.9e7, 1.01e8, 1e9, 1e16)
+
+
+def _conditioned(d, cond, scale, seed):
+    """``scale`` U diag(s) V* with U and V unitary, seeded, and singular
+    values s from 1 down to 1/cond (a 1 x 1 matrix has cond 1)."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((d, d))
+                         + 1j * rng.standard_normal((d, d)))[0]
+            for _ in range(2))
+    s = np.geomspace(1.0, 1.0 / cond, d)
+    return MatScalar(scale * ((u * s) @ v.conj().T))
+
+
+def _decision_corpus():
+    """Fresh matrices of dimensions 1-4 at every ``_CONDS``, scaled by
+    1e-150, 1 and 1e150, by dimension."""
+    return {d: [_conditioned(d, cond, scale, seed)
+                for cond in (_CONDS if d > 1 else (1.0,))
+                for scale in (1e-150, 1.0, 1e150) for seed in range(4)]
+            for d in (1, 2, 3, 4)}
+
+
+@_numpy_warns_too
+def test_inv_decisions_across_the_bound_match_old_formula():
+    """Each inverse, or refusal with its message, is the old formula's,
+    whether the bound settled it (no condition number stored) or the SVD
+    did; both kinds, and refusals by condition, occur."""
+    kinds = collections.Counter()
+    corpus = [m for ms in _decision_corpus().values() for m in ms]
+    for m in corpus + [MatScalar(e) for e in _REFUSED.values()]:
+        _assert_inv_matches_old(m)
+        outcome = _outcome(m.inv)
+        if isinstance(outcome, tuple):
+            kinds[outcome[1].split()[0]] += 1
+        else:
+            kinds["bound" if m._cond is None else "svd"] += 1
+    assert min(kinds["bound"], kinds["svd"], kinds["condition"]) >= 10, kinds
+
+
+@_numpy_warns_too
+def test_lanes_inverse_masks_across_the_bound_where_old_formula_refuses():
+    for d, ms in _decision_corpus().items():
+        if d == 2:
+            ms += [MatScalar(e) for n, e in _REFUSED.items() if n != "empty"]
+        lanes = matrix_ring(d).stack(ms)
+        assert lanes._cond is None
+        x = lanes.inv()
+        for n, m in enumerate(ms):
+            old = _outcome(_old_inv, m)
+            assert lanes.mask[n] == (not isinstance(old, tuple))
+            if lanes.mask[n]:
+                assert x.a[n].tobytes() == old
